@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "nn/autoencoder.h"
-#include "nn/backend.h"
 #include "nn/gemm.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"

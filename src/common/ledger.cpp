@@ -142,13 +142,11 @@ LedgerEvent MakeManifestEvent(std::string_view tool, const BuildInfo& build) {
   AppendEscaped(build_json, build.simd);
   build_json += "\", \"telemetry\": ";
   build_json += build.telemetry ? "true" : "false";
-  // NN-core identity (nn::AnnotateBuildInfo): attributes every score in
-  // the run to the kernel family and GEMM thread count that produced
-  // it. Absent for tools with no neural-net dependency.
-  if (!build.nn_backend.empty()) {
-    build_json += ", \"nn_backend\": \"";
-    AppendEscaped(build_json, build.nn_backend);
-    build_json += "\", \"nn_threads\": ";
+  // GEMM thread count (nn::AnnotateBuildInfo): with simd, names the
+  // kernel configuration that produced every score in the run. Absent
+  // for tools with no neural-net dependency.
+  if (build.nn_threads > 0) {
+    build_json += ", \"nn_threads\": ";
     build_json += std::to_string(build.nn_threads);
   }
   build_json += '}';

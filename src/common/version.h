@@ -16,20 +16,24 @@ inline constexpr const char kAcobeVersion[] = "0.8.0";
 struct BuildInfo {
   std::string version;     // kAcobeVersion
   std::string build_type;  // CMAKE_BUILD_TYPE baked in at compile time
-  std::string simd;        // "avx2" or "scalar" (runtime dispatch)
+  std::string simd;        // "avx2" or "scalar" (GEMM kernel dispatch)
   bool telemetry = false;  // instrumentation compiled in
-  // NN-core identity, stamped by nn::AnnotateBuildInfo. Left at the
-  // defaults below by tools with no neural-net dependency (acobe_gen),
-  // whose manifests simply omit the fields.
-  std::string nn_backend;  // active kernel family ("default", "fma", ...)
-  int nn_threads = 0;      // resolved GEMM thread count (0 = n/a)
+  // Resolved GEMM thread count, stamped by nn::AnnotateBuildInfo. Left
+  // at 0 by tools with no neural-net dependency (acobe_gen), whose
+  // manifests simply omit the field.
+  int nn_threads = 0;
 };
 
-/// The active GEMM dispatch decision. Mirrors the runtime check in
-/// nn/gemm.cpp (__builtin_cpu_supports) without linking acobe_nn, so
-/// acobe_gen — which has no neural-net dependency — reports it too.
+/// The CPU probe behind the GEMM full-tile kernel choice (nn/gemm.cpp
+/// dispatches on this very function), kept here so acobe_gen — which
+/// has no neural-net dependency — reports it too. Non-x86 builds always
+/// run the portable kernel.
 inline const char* ActiveSimdName() {
+#if defined(__x86_64__) && defined(__GNUC__)
   return __builtin_cpu_supports("avx2") ? "avx2" : "scalar";
+#else
+  return "scalar";
+#endif
 }
 
 inline BuildInfo GetBuildInfo() {

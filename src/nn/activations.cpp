@@ -4,40 +4,33 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/backend.h"
-#include "nn/gemm_internal.h"
-
 namespace acobe::nn {
 
-namespace detail {
+namespace {
 
-// The shared scalar activation kernels every built-in backend registers
-// in its KernelSet (see backend.h): keeping one definition makes
-// activation arithmetic bit-identical across backends by construction,
-// so backend parity tests only ever chase GEMM differences.
-void ScalarRelu(const float* in, float* out, std::size_t n) {
+void ReluLoop(const float* in, float* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const float v = in[i];
     out[i] = v > 0.0f ? v : 0.0f;
   }
 }
 
-void ScalarSigmoid(const float* in, float* out, std::size_t n) {
+void SigmoidLoop(const float* in, float* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = 1.0f / (1.0f + std::exp(-in[i]));
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 void ReLU::Forward(const Tensor& x, Tensor& y, bool /*training*/) {
   y.ResizeUninit(x.rows(), x.cols());
-  ActiveBackend().kernels().relu(x.data(), y.data(), x.size());
+  ReluLoop(x.data(), y.data(), x.size());
 }
 
 void ReLU::Infer(MatSpan x, Tensor& y) const {
   y.ResizeUninit(x.rows, x.cols);
-  ActiveBackend().kernels().relu(x.data, y.data(), x.size());
+  ReluLoop(x.data, y.data(), x.size());
 }
 
 void ReLU::Backward(const Tensor& /*x*/, const Tensor& y, const Tensor& g,
@@ -58,12 +51,12 @@ void ReLU::Backward(const Tensor& /*x*/, const Tensor& y, const Tensor& g,
 
 void Sigmoid::Forward(const Tensor& x, Tensor& y, bool /*training*/) {
   y.ResizeUninit(x.rows(), x.cols());
-  ActiveBackend().kernels().sigmoid(x.data(), y.data(), x.size());
+  SigmoidLoop(x.data(), y.data(), x.size());
 }
 
 void Sigmoid::Infer(MatSpan x, Tensor& y) const {
   y.ResizeUninit(x.rows, x.cols);
-  ActiveBackend().kernels().sigmoid(x.data, y.data(), x.size());
+  SigmoidLoop(x.data, y.data(), x.size());
 }
 
 void Sigmoid::Backward(const Tensor& /*x*/, const Tensor& y, const Tensor& g,

@@ -3,13 +3,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/telemetry.h"
-#include "nn/backend.h"
-#include "nn/gemm_internal.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -20,8 +20,18 @@ namespace acobe::nn {
 
 namespace {
 
-using detail::kMR;
-using detail::kNR;
+// Micro-tile geometry: kMR C-rows by kNR C-columns per full tile (one
+// j-panel is kNR wide).
+constexpr std::size_t kMR = 4;
+constexpr std::size_t kNR = 16;
+
+// Full-tile micro-kernel: computes a kMR x kNR tile of C. `ars`/`als`
+// are A's row/term strides, so one kernel serves both the plain and the
+// A-transposed layouts.
+using MicroKernelFn = void (*)(std::size_t k, const float* a,
+                               std::size_t ars, std::size_t als,
+                               const float* b, std::size_t ldb, float* c,
+                               std::size_t ldc, const float* bias);
 
 // ---------------------------------------------------------------------------
 // Telemetry: per-call flop accounting plus an achieved-GFLOP/s histogram
@@ -83,30 +93,23 @@ struct GemmTimer {
 // ---------------------------------------------------------------------------
 // Blocked kernels.
 //
-// The blocked backends share one tile driver: C is walked in kMR x kNR
-// tiles; for each tile a micro-kernel runs the full k loop with the
-// tile's accumulators live in registers, then writes C once (plus the
-// optional fused bias). A[row r of the tile, term l] is addressed as
-// a[r * ars + l * als], which expresses both the plain (ars = lda,
-// als = 1) and the A-transposed (ars = 1, als = lda) layouts without
-// separate kernels.
+// One tile driver: C is walked in kMR x kNR tiles; for each tile a
+// micro-kernel runs the full k loop with the tile's accumulators live in
+// registers, then writes C once (plus the optional fused bias).
+// A[row r of the tile, term l] is addressed as a[r * ars + l * als],
+// which expresses both the plain (ars = lda, als = 1) and the
+// A-transposed (ars = 1, als = lda) layouts without separate kernels.
 //
-// Accumulation-order invariant for the *contract* kernels (Edge, Full,
-// Avx2 — everything the "default" backend runs; see gemm.h): each C
-// element owns one accumulator chain, added to in ascending-l order,
-// multiply and add as separate roundings. Vectorization is across j
-// (independent elements), never across k, so the blocked results are
-// bit-identical to the scalar reference kernels. The opt-in Fma and
-// Avx512 kernels below deliberately break the separate-rounding rule
-// (and, for Avx512, the single-chain rule) in exchange for speed; they
-// are tolerance-tested, never bit-tested, and never selected by
-// default.
+// Accumulation-order invariant for every kernel here (Edge, Full, Avx2;
+// see gemm.h): each C element owns one accumulator chain, added to in
+// ascending-l order, multiply and add as separate roundings.
+// Vectorization is across j (independent elements), never across k, so
+// the blocked results are bit-identical to the scalar reference kernels.
 // ---------------------------------------------------------------------------
 
 // Portable micro-kernel, runtime tile bounds (mr <= kMR, nr <= kNR):
-// handles edge tiles for every backend and serves as the full-tile
-// fallback on CPUs without AVX2 (the fixed-bound copy below
-// auto-vectorizes).
+// handles edge tiles and serves as the full-tile fallback on CPUs
+// without AVX2 (the fixed-bound copy below auto-vectorizes).
 void MicroKernelEdge(std::size_t mr, std::size_t nr, std::size_t k,
                      const float* __restrict a, std::size_t ars,
                      std::size_t als, const float* __restrict b,
@@ -210,117 +213,6 @@ __attribute__((target("avx2"))) void MicroKernelAvx2(
   _mm256_storeu_ps(c + 3 * ldc, acc30);
   _mm256_storeu_ps(c + 3 * ldc + 8, acc31);
 }
-
-// AVX2+FMA full-tile micro-kernel ("fma" backend, opt-in): identical
-// tile walk to MicroKernelAvx2, but each term is a fused multiply-add
-// that rounds once where the contract kernels round twice. Still one
-// accumulator chain per element in ascending-l order, so run-to-run
-// results are deterministic; only the bit pattern vs reference differs
-// (<= 1e-5 relative, pinned by tests/backend_test.cpp).
-// -ffp-contract=off on this file does not affect these explicit
-// intrinsics — it only forbids the compiler from contracting a*b+c
-// expressions behind our back.
-__attribute__((target("avx2,fma"))) void MicroKernelFma(
-    std::size_t k, const float* __restrict a, std::size_t ars,
-    std::size_t als, const float* __restrict b, std::size_t ldb,
-    float* __restrict c, std::size_t ldc, const float* __restrict bias) {
-  __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-  __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-  __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-  __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
-  for (std::size_t l = 0; l < k; ++l) {
-    const float* brow = b + l * ldb;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    const float* al = a + l * als;
-    __m256 av = _mm256_set1_ps(al[0 * ars]);
-    acc00 = _mm256_fmadd_ps(av, b0, acc00);
-    acc01 = _mm256_fmadd_ps(av, b1, acc01);
-    av = _mm256_set1_ps(al[1 * ars]);
-    acc10 = _mm256_fmadd_ps(av, b0, acc10);
-    acc11 = _mm256_fmadd_ps(av, b1, acc11);
-    av = _mm256_set1_ps(al[2 * ars]);
-    acc20 = _mm256_fmadd_ps(av, b0, acc20);
-    acc21 = _mm256_fmadd_ps(av, b1, acc21);
-    av = _mm256_set1_ps(al[3 * ars]);
-    acc30 = _mm256_fmadd_ps(av, b0, acc30);
-    acc31 = _mm256_fmadd_ps(av, b1, acc31);
-  }
-  if (bias != nullptr) {
-    const __m256 bias0 = _mm256_loadu_ps(bias);
-    const __m256 bias1 = _mm256_loadu_ps(bias + 8);
-    acc00 = _mm256_add_ps(acc00, bias0);
-    acc01 = _mm256_add_ps(acc01, bias1);
-    acc10 = _mm256_add_ps(acc10, bias0);
-    acc11 = _mm256_add_ps(acc11, bias1);
-    acc20 = _mm256_add_ps(acc20, bias0);
-    acc21 = _mm256_add_ps(acc21, bias1);
-    acc30 = _mm256_add_ps(acc30, bias0);
-    acc31 = _mm256_add_ps(acc31, bias1);
-  }
-  _mm256_storeu_ps(c + 0 * ldc, acc00);
-  _mm256_storeu_ps(c + 0 * ldc + 8, acc01);
-  _mm256_storeu_ps(c + 1 * ldc, acc10);
-  _mm256_storeu_ps(c + 1 * ldc + 8, acc11);
-  _mm256_storeu_ps(c + 2 * ldc, acc20);
-  _mm256_storeu_ps(c + 2 * ldc + 8, acc21);
-  _mm256_storeu_ps(c + 3 * ldc, acc30);
-  _mm256_storeu_ps(c + 3 * ldc + 8, acc31);
-}
-
-// AVX-512F full-tile micro-kernel ("avx512" backend, opt-in): one zmm
-// covers the whole kNR=16 panel, so the tile is 4 rows x 1 vector with
-// the k loop unrolled 2-way into two accumulator sets per row (combined
-// once at the end). That splits each element's sum into two chains —
-// allowed here because this family is tolerance-tested, and still
-// run-to-run deterministic since the split depends only on k.
-__attribute__((target("avx512f"))) void MicroKernelAvx512(
-    std::size_t k, const float* __restrict a, std::size_t ars,
-    std::size_t als, const float* __restrict b, std::size_t ldb,
-    float* __restrict c, std::size_t ldc, const float* __restrict bias) {
-  __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
-  __m512 acc2 = _mm512_setzero_ps(), acc3 = _mm512_setzero_ps();
-  __m512 alt0 = _mm512_setzero_ps(), alt1 = _mm512_setzero_ps();
-  __m512 alt2 = _mm512_setzero_ps(), alt3 = _mm512_setzero_ps();
-  std::size_t l = 0;
-  for (; l + 1 < k; l += 2) {
-    const __m512 b0 = _mm512_loadu_ps(b + l * ldb);
-    const __m512 b1 = _mm512_loadu_ps(b + (l + 1) * ldb);
-    const float* al0 = a + l * als;
-    const float* al1 = a + (l + 1) * als;
-    acc0 = _mm512_fmadd_ps(_mm512_set1_ps(al0[0 * ars]), b0, acc0);
-    alt0 = _mm512_fmadd_ps(_mm512_set1_ps(al1[0 * ars]), b1, alt0);
-    acc1 = _mm512_fmadd_ps(_mm512_set1_ps(al0[1 * ars]), b0, acc1);
-    alt1 = _mm512_fmadd_ps(_mm512_set1_ps(al1[1 * ars]), b1, alt1);
-    acc2 = _mm512_fmadd_ps(_mm512_set1_ps(al0[2 * ars]), b0, acc2);
-    alt2 = _mm512_fmadd_ps(_mm512_set1_ps(al1[2 * ars]), b1, alt2);
-    acc3 = _mm512_fmadd_ps(_mm512_set1_ps(al0[3 * ars]), b0, acc3);
-    alt3 = _mm512_fmadd_ps(_mm512_set1_ps(al1[3 * ars]), b1, alt3);
-  }
-  if (l < k) {
-    const __m512 b0 = _mm512_loadu_ps(b + l * ldb);
-    const float* al = a + l * als;
-    acc0 = _mm512_fmadd_ps(_mm512_set1_ps(al[0 * ars]), b0, acc0);
-    acc1 = _mm512_fmadd_ps(_mm512_set1_ps(al[1 * ars]), b0, acc1);
-    acc2 = _mm512_fmadd_ps(_mm512_set1_ps(al[2 * ars]), b0, acc2);
-    acc3 = _mm512_fmadd_ps(_mm512_set1_ps(al[3 * ars]), b0, acc3);
-  }
-  acc0 = _mm512_add_ps(acc0, alt0);
-  acc1 = _mm512_add_ps(acc1, alt1);
-  acc2 = _mm512_add_ps(acc2, alt2);
-  acc3 = _mm512_add_ps(acc3, alt3);
-  if (bias != nullptr) {
-    const __m512 bv = _mm512_loadu_ps(bias);
-    acc0 = _mm512_add_ps(acc0, bv);
-    acc1 = _mm512_add_ps(acc1, bv);
-    acc2 = _mm512_add_ps(acc2, bv);
-    acc3 = _mm512_add_ps(acc3, bv);
-  }
-  _mm512_storeu_ps(c + 0 * ldc, acc0);
-  _mm512_storeu_ps(c + 1 * ldc, acc1);
-  _mm512_storeu_ps(c + 2 * ldc, acc2);
-  _mm512_storeu_ps(c + 3 * ldc, acc3);
-}
 #endif
 
 // ---------------------------------------------------------------------------
@@ -408,6 +300,17 @@ void PanelRows(std::size_t i_begin, std::size_t i_end, std::size_t j0,
   }
 }
 
+// The full-tile kernel for this CPU: no-FMA AVX2 where available,
+// portable otherwise (both bit-identical). The choice goes through
+// ActiveSimdName(), the probe that stamps BuildInfo::simd, so the
+// recorded build identity always names the kernel that ran.
+MicroKernelFn SelectFullTileKernel() {
+#ifdef ACOBE_GEMM_X86
+  if (std::strcmp(ActiveSimdName(), "avx2") == 0) return MicroKernelAvx2;
+#endif
+  return MicroKernelFull;
+}
+
 // Below this many flops (2*m*k*n) a GEMM always runs serial: the
 // pool's wake/join latency would dominate. 4M flops is roughly a
 // 128x128x128 multiply — the small per-layer training GEMMs stay
@@ -418,62 +321,14 @@ constexpr std::uint64_t kParallelFlopFloor = 4u << 20;
 // the pool. Must be a kMR multiple.
 constexpr std::size_t kRowChunk = 64;
 
-}  // namespace
-
-namespace detail {
-
-bool CpuHasAvx2() {
-#ifdef ACOBE_GEMM_X86
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-bool CpuHasFma() {
-#ifdef ACOBE_GEMM_X86
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx512() {
-#ifdef ACOBE_GEMM_X86
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-MicroKernelFn PortableKernel() { return MicroKernelFull; }
-
-MicroKernelFn DefaultKernel() {
-#ifdef ACOBE_GEMM_X86
-  if (CpuHasAvx2()) return MicroKernelAvx2;
-#endif
-  return MicroKernelFull;
-}
-
-MicroKernelFn FmaKernel() {
-#ifdef ACOBE_GEMM_X86
-  return MicroKernelFma;
-#else
-  return nullptr;
-#endif
-}
-
-MicroKernelFn Avx512Kernel() {
-#ifdef ACOBE_GEMM_X86
-  return MicroKernelAvx512;
-#else
-  return nullptr;
-#endif
-}
-
+// C (m x n, row-major, fully overwritten) = A * B (+ bias per row), with
+// A addressed as a[r * ars + l * als]. When NnThreads() > 1, the caller
+// is not already a pool worker, and the shape is heavy enough, the
+// (j-panel x i-chunk) grid is spread over the shared thread pool.
 void BlockedGemm(std::size_t m, std::size_t k, std::size_t n, const float* pa,
                  std::size_t ars, std::size_t als, const float* pb, float* pc,
-                 const float* bias, MicroKernelFn full) {
+                 const float* bias) {
+  static const MicroKernelFn full = SelectFullTileKernel();
   const std::size_t panels = (n + kNR - 1) / kNR;
   const int threads = NnThreads();
   const std::uint64_t flops = 2ull * m * k * n;
@@ -512,28 +367,45 @@ void BlockedGemm(std::size_t m, std::size_t k, std::size_t n, const float* pa,
   }
 }
 
-float* AcquirePackBuffer(std::size_t floats) {
-  return t_pack_arena.Acquire(floats);
+inline void AssertNoAlias(const Tensor& c, MatSpan a, MatSpan b) {
+#ifndef NDEBUG
+  assert(c.data() != a.data && c.data() != b.data);
+#else
+  (void)c;
+  (void)a;
+  (void)b;
+#endif
 }
 
-void ReleasePackBuffer() { t_pack_arena.Release(); }
+// GEMM worker threads. 0 = "not yet resolved"; resolution consults
+// ACOBE_NN_THREADS once, defaulting to 1 (serial) — the outer
+// per-aspect/per-user parallelism owns the cores unless the user hands
+// them to the math core explicitly.
+std::atomic<int> g_nn_threads{0};
 
-std::size_t PackBytes() {
-  return g_pack_bytes.load(std::memory_order_relaxed);
+int ResolveNnThreadsFromEnv() {
+  if (const char* env = std::getenv("ACOBE_NN_THREADS")) {
+    const int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  return 1;
 }
 
-}  // namespace detail
+}  // namespace
 
 // ---------------------------------------------------------------------------
-// Public entry points: validate shapes, time the call, and route to the
-// active backend (backend.cpp owns resize + dispatch).
+// Public entry points: validate shapes, time the call, resize C, and run
+// the blocked driver.
 // ---------------------------------------------------------------------------
 
 void Gemm(MatSpan a, MatSpan b, Tensor& c, const float* bias) {
   if (a.cols != b.rows) throw std::invalid_argument("Gemm: shape mismatch");
   const GemmTimer timer;
-  ActiveBackend().Gemm(a, b, c, bias);
-  timer.Finish(a.rows, a.cols, b.cols);
+  const std::size_t m = a.rows, k = a.cols, n = b.cols;
+  c.ResizeUninit(m, n);
+  AssertNoAlias(c, a, b);
+  BlockedGemm(m, k, n, a.data, /*ars=*/k, /*als=*/1, b.data, c.data(), bias);
+  timer.Finish(m, k, n);
 }
 
 void GemmTransA(MatSpan a, MatSpan b, Tensor& c) {
@@ -541,8 +413,14 @@ void GemmTransA(MatSpan a, MatSpan b, Tensor& c) {
     throw std::invalid_argument("GemmTransA: shape mismatch");
   }
   const GemmTimer timer;
-  ActiveBackend().GemmTransA(a, b, c);
-  timer.Finish(a.cols, a.rows, b.cols);
+  const std::size_t k = a.rows, m = a.cols, n = b.cols;
+  c.ResizeUninit(m, n);
+  AssertNoAlias(c, a, b);
+  // C[i][j] = sum_l A[l][i] * B[l][j]: row stride through A is 1, term
+  // stride is the A row length m.
+  BlockedGemm(m, k, n, a.data, /*ars=*/1, /*als=*/m, b.data, c.data(),
+              nullptr);
+  timer.Finish(m, k, n);
 }
 
 void GemmTransB(MatSpan a, MatSpan b, Tensor& c) {
@@ -550,9 +428,48 @@ void GemmTransB(MatSpan a, MatSpan b, Tensor& c) {
     throw std::invalid_argument("GemmTransB: shape mismatch");
   }
   const GemmTimer timer;
-  ActiveBackend().GemmTransB(a, b, c);
-  timer.Finish(a.rows, a.cols, b.rows);
+  const std::size_t m = a.rows, k = a.cols, n = b.rows;
+  c.ResizeUninit(m, n);
+  AssertNoAlias(c, a, b);
+  // C = A B^T has the same per-element accumulation chains as C = A Bt
+  // with Bt the explicit transpose, so transposing B once (pure data
+  // movement, no arithmetic) lets the blocked driver -- and its
+  // vectorize-across-j micro-kernels -- run at full Gemm speed instead
+  // of being stuck with scalar dot-product chains. The O(k*n) pack
+  // amortizes over the O(m*k*n) math; the arena reuses the buffer
+  // across calls, so it allocates during warm-up only, preserving the
+  // zero-allocation train loop.
+  float* bt = t_pack_arena.Acquire(k * n);
+  const float* pb = b.data;
+  for (std::size_t j = 0; j < n; ++j) {
+    const float* brow = pb + j * k;
+    for (std::size_t l = 0; l < k; ++l) bt[l * n + j] = brow[l];
+  }
+  BlockedGemm(m, k, n, a.data, /*ars=*/k, /*als=*/1, bt, c.data(), nullptr);
+  timer.Finish(m, k, n);
 }
+
+void SetNnThreads(int threads) {
+  g_nn_threads.store(threads > 0 ? threads : ResolveNnThreadsFromEnv(),
+                     std::memory_order_relaxed);
+}
+
+int NnThreads() {
+  int n = g_nn_threads.load(std::memory_order_relaxed);
+  if (n <= 0) {
+    n = ResolveNnThreadsFromEnv();
+    g_nn_threads.store(n, std::memory_order_relaxed);
+  }
+  return n;
+}
+
+std::size_t PackBytesInUse() {
+  return g_pack_bytes.load(std::memory_order_relaxed);
+}
+
+void ReleaseThreadScratch() { t_pack_arena.Release(); }
+
+void AnnotateBuildInfo(BuildInfo& info) { info.nn_threads = NnThreads(); }
 
 namespace reference {
 

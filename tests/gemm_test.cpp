@@ -19,7 +19,6 @@
 
 #include "behavior/normalized_day.h"
 #include "common/parallel.h"
-#include "nn/backend.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/critic.h"
@@ -110,19 +109,6 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
   }
 }
 
-// Bitwise parity and the golden regressions only hold for bit-exact
-// backends ("default", "reference"). Under an opt-in throughput family
-// (CI runs this binary with ACOBE_NN_BACKEND=fma) those cases skip;
-// backend_test.cpp holds the tolerance contract for that path.
-#define SKIP_UNLESS_BIT_EXACT_BACKEND()                                  \
-  do {                                                                   \
-    if (!ActiveBackend().bit_exact()) {                                  \
-      GTEST_SKIP() << "backend '" << ActiveBackendName()                 \
-                   << "' is not bit-exact; parity holds to tolerance "   \
-                      "only (see backend_test.cpp)";                     \
-    }                                                                    \
-  } while (0)
-
 // --- Blocked vs reference parity -------------------------------------------
 
 // The shape set straddles every micro-tile boundary: 1..3 (degenerate),
@@ -131,7 +117,6 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
 const std::size_t kDims[] = {1, 2, 3, 7, 8, 9, 31, 32, 33};
 
 TEST(GemmParityTest, BlockedMatchesReferenceBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   for (std::size_t m : kDims) {
     for (std::size_t k : kDims) {
       for (std::size_t n : kDims) {
@@ -158,7 +143,6 @@ TEST(GemmParityTest, BlockedMatchesReferenceBitwise) {
 }
 
 TEST(GemmParityTest, SparseInputsMatchReferenceBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   // Zero entries make the reference kernels skip accumulator updates the
   // blocked kernels perform; the results must still agree bit-for-bit.
   for (std::size_t m : {1u, 5u, 9u, 33u}) {
@@ -182,7 +166,6 @@ TEST(GemmParityTest, SparseInputsMatchReferenceBitwise) {
 }
 
 TEST(GemmParityTest, FusedBiasMatchesSeparateEpilogue) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   for (std::size_t m : {1u, 4u, 9u, 32u}) {
     for (std::size_t n : {1u, 15u, 16u, 33u}) {
       const std::size_t k = 17;
@@ -342,12 +325,10 @@ void ExpectGolden(const GoldenRun& run) {
 }
 
 TEST(GoldenTest, TrainingHistoryMatchesSeedBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   ExpectGolden(RunGoldenTraining());
 }
 
 TEST(GoldenTest, ConcurrentTrainingsMatchSeedBitwise) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   // Four independent trainings on four threads: per-thread scratch state
   // must not leak across models, and results must not depend on
   // scheduling.
@@ -413,14 +394,11 @@ void RunEnsembleGolden(int threads) {
   }
 }
 
-TEST(GoldenTest, EnsembleMatchesSeedSingleThread) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND(); RunEnsembleGolden(1); }
+TEST(GoldenTest, EnsembleMatchesSeedSingleThread) { RunEnsembleGolden(1); }
 
-TEST(GoldenTest, EnsembleMatchesSeedFourThreads) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND(); RunEnsembleGolden(4); }
+TEST(GoldenTest, EnsembleMatchesSeedFourThreads) { RunEnsembleGolden(4); }
 
 TEST(GoldenTest, EnsembleMatchesSeedWithTelemetryEnabled) {
-  SKIP_UNLESS_BIT_EXACT_BACKEND();
   telemetry::EnableMetrics(true);
   telemetry::ResetTelemetry();
   RunEnsembleGolden(4);

@@ -15,7 +15,10 @@ with --health-out/--prom-out, once without — and asserts:
     (--require-final), and acobe_top --once renders it,
   - the Prometheus exposition contains acobe_-prefixed samples and,
     when --check-prom is given, passes the full format 0.0.4 validator
-    (tools/check_prom.py).
+    (tools/check_prom.py),
+  - the acobe_detect CLI contract holds: --version names the resolved
+    GEMM thread count, and the retired backend-selection flag is a
+    usage error (exit 2).
 
 Usage:
     health_identity_test.py --gen GEN --detect DETECT --top TOP \
@@ -77,6 +80,20 @@ def main():
     ap.add_argument("--check-health", required=True)
     ap.add_argument("--check-prom", default=None)
     args = ap.parse_args()
+
+    version = run([args.detect, "--nn-threads=3", "--version"])
+    if b"nn-threads: 3" not in version.stdout:
+        print(f"FAIL: --version lacks nn-threads: {version.stdout!r}",
+              file=sys.stderr)
+        return 1
+    # With --version after it, a still-accepted flag would exit 0.
+    retired = subprocess.run(
+        [args.detect, "--nn-backend=default", "--version"],
+        capture_output=True)
+    if retired.returncode != 2:
+        print(f"FAIL: retired backend flag exited {retired.returncode}, "
+              "expected 2 (usage)", file=sys.stderr)
+        return 1
 
     with tempfile.TemporaryDirectory(prefix="acobe-health-id-") as tmp:
         data = os.path.join(tmp, "data")

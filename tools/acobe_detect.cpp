@@ -103,7 +103,7 @@
 #include "features/shard_extract.h"
 #include "logs/log_io.h"
 #include "logs/spool.h"
-#include "nn/backend.h"
+#include "nn/gemm.h"
 
 using namespace acobe;
 
@@ -128,7 +128,7 @@ void Usage() {
       "acobe-detect --in=DIR --train-end=YYYY-MM-DD\n"
       "             [--test-end=YYYY-MM-DD] [--omega=N] [--epochs=N]\n"
       "             [--votes=N] [--top=N] [--threads=N]\n"
-      "             [--nn-backend=NAME] [--nn-threads=N]\n"
+      "             [--nn-threads=N]\n"
       "             [--ingest=strict|permissive|quarantine]\n"
       "             [--error-budget=R] [--quarantine-dir=DIR]\n"
       "             [--stream] [--shards=N] [--spool-dir=DIR]\n"
@@ -142,9 +142,6 @@ void Usage() {
       "  --votes=N           critic votes (>= 1; default 2)\n"
       "  --top=N             list entries printed per department (>= 1)\n"
       "  --threads=N         worker threads (0 = ACOBE_THREADS/hardware)\n"
-      "  --nn-backend=NAME   NN compute backend: default|reference|fma|avx512\n"
-      "                      (0-risk 'default' is bit-reproducible; others\n"
-      "                      fall back to it when the CPU lacks them)\n"
       "  --nn-threads=N      GEMM worker threads (0 = ACOBE_NN_THREADS,\n"
       "                      else 1; >1 splits large GEMMs panel-wise,\n"
       "                      results stay bit-identical)\n"
@@ -390,9 +387,7 @@ void WriteExplainJson(std::ostream& out, const std::vector<DeptResult>& results,
   out << ",\"simd\":";
   JsonStr(out, build.simd);
   out << ",\"telemetry\":" << (build.telemetry ? "true" : "false")
-      << ",\"nn_backend\":";
-  JsonStr(out, build.nn_backend);
-  out << ",\"nn_threads\":" << build.nn_threads << "},\"dataset\":{\"dir\":";
+      << ",\"nn_threads\":" << build.nn_threads << "},\"dataset\":{\"dir\":";
   JsonStr(out, in_dir);
   out << ",\"digest\":" << dataset_digest << ",\"start\":";
   JsonStr(out, start.ToString());
@@ -568,7 +563,6 @@ int main(int argc, char** argv) {
   std::string explain_out, ledger_out;
   std::string health_out, prom_out;
   std::string quarantine_dir, checkpoint_dir, spool_dir;
-  std::string nn_backend;  // empty = "default" (or ACOBE_NN_BACKEND)
   int omega = 14, epochs = 25, votes = 2, top = 10, threads = 0;
   int nn_threads = 0;  // 0 = ACOBE_NN_THREADS / serial
   int shards = 8, health_interval_ms = 1000;
@@ -597,8 +591,6 @@ int main(int argc, char** argv) {
         top = static_cast<int>(cli::ParseInt(arg, arg + 6, 1, kMaxInt));
       } else if (std::strncmp(arg, "--threads=", 10) == 0) {
         threads = static_cast<int>(cli::ParseInt(arg, arg + 10, 0, kMaxInt));
-      } else if (std::strncmp(arg, "--nn-backend=", 13) == 0) {
-        nn_backend = arg + 13;
       } else if (std::strncmp(arg, "--nn-threads=", 13) == 0) {
         nn_threads =
             static_cast<int>(cli::ParseInt(arg, arg + 13, 0, kMaxInt));
@@ -634,11 +626,8 @@ int main(int argc, char** argv) {
       } else if (std::strncmp(arg, "--prom-out=", 11) == 0) {
         prom_out = arg + 11;
       } else if (std::strcmp(arg, "--version") == 0) {
-        // Apply any backend/thread flags seen so far, so
-        // `--nn-backend=fma --version` reports the resolved (possibly
-        // fallen-back) selection the run would actually use. No flag
-        // leaves the ACOBE_NN_BACKEND-driven selection untouched.
-        if (!nn_backend.empty()) nn::SelectBackend(nn_backend);
+        // Apply a --nn-threads seen so far, so `--nn-threads=4 --version`
+        // reports the count the run would actually use.
         if (nn_threads > 0) nn::SetNnThreads(nn_threads);
         BuildInfo info = GetBuildInfo();
         nn::AnnotateBuildInfo(info);
@@ -687,19 +676,8 @@ int main(int argc, char** argv) {
     }
   }
   if (spool_dir.empty()) spool_dir = in_dir + "/.acobe-spool";
-  // Pin the NN compute backend and GEMM thread budget before any math
-  // runs; the resolved pair lands in --version, the explain report, and
-  // the ledger manifest. An unknown or CPU-unsupported backend request
-  // falls back to "default" (warn, don't die — the default is the
-  // bit-reproducible anchor, so results are still well-defined).
-  if (!nn_backend.empty()) {
-    const std::string active = nn::SelectBackend(nn_backend);
-    if (active != nn_backend) {
-      std::fprintf(stderr,
-                   "acobe-detect: nn backend '%s' unavailable, using '%s'\n",
-                   nn_backend.c_str(), active.c_str());
-    }
-  }
+  // Pin the GEMM thread budget before any math runs; the resolved count
+  // lands in --version, the explain report, and the ledger manifest.
   if (nn_threads > 0) nn::SetNnThreads(nn_threads);
   // Provenance is driven by the output flags: asking for an explain
   // report or a ledger turns attribution + drift on; neither flag, and

@@ -158,14 +158,11 @@ int RenderLedger(const std::vector<json::Value>& events) {
                   event.GetString("schema", "?").c_str(),
                   event.GetString("tool", "?").c_str());
       if (const json::Value* build = event.Get("build")) {
-        std::printf("  built: %s %s, simd %s, telemetry %s",
+        std::printf("  built: %s %s, simd %s, telemetry %s\n",
                     build->GetString("version", "?").c_str(),
                     build->GetString("build_type", "?").c_str(),
                     build->GetString("simd", "?").c_str(),
                     build->GetBool("telemetry", false) ? "on" : "off");
-        const std::string backend = build->GetString("nn_backend", "");
-        if (!backend.empty()) std::printf(", nn %s", backend.c_str());
-        std::printf("\n");
       }
       std::printf(
           "  run:   %s, train-end %s, test-end %s, seed %.0f, "

@@ -72,11 +72,8 @@ def check_ledger(path):
     if not isinstance(build, dict) or "version" not in build:
         return fail(f"{path}: manifest has no build-identity block")
     # acobe-detect runs score through the NN core, so their manifests
-    # must attribute results to the kernel family that produced them.
+    # must record the GEMM thread count that produced them.
     if manifest.get("tool") == "acobe-detect":
-        backend = build.get("nn_backend")
-        if not isinstance(backend, str) or not backend:
-            return fail(f"{path}: acobe-detect manifest lacks nn_backend")
         threads = build.get("nn_threads")
         if not isinstance(threads, int) or threads < 1:
             return fail(f"{path}: acobe-detect manifest nn_threads must be "
