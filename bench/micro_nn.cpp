@@ -236,7 +236,8 @@ BENCHMARK(BM_TrainEpoch)->Arg(112)->Arg(392);
 // over their own data. BM_TrainStreamSolo is the pre-stream shape — N
 // cold TrainReconstruction calls, each with its own workspace.
 // BM_TrainStreamFused is the fused TrainStream path (shared workspace,
-// warm pool; /4 fans the jobs over four workers). The in-run fused/solo
+// warm pool; /4 fans the jobs over four workers; each job copies its
+// data in, as ensemble jobs build theirs). The in-run fused/solo
 // ratio is what check_bench.py gates on multi-core machines.
 
 constexpr int kStreamJobs = 4;
@@ -287,7 +288,7 @@ void BM_TrainStreamFused(benchmark::State& state) {
     for (int j = 0; j < kStreamJobs; ++j) {
       jobs[j].net = &fx.nets[j];
       jobs[j].optimizer = &fx.opts[j];
-      jobs[j].data = &fx.datas[j];
+      jobs[j].make_data = [&fx, j] { return fx.datas[j]; };
       jobs[j].config = fx.cfg;
     }
     TrainStream(jobs, threads);

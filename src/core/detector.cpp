@@ -28,61 +28,109 @@ DetectionOutput Detector::Run(const MeasurementCube& cube,
                               const std::vector<UserId>& members,
                               int train_begin, int train_end, int score_begin,
                               int score_end, std::ostream* log) const {
-  if (members.empty()) {
-    throw std::invalid_argument("Detector::Run: no group members");
-  }
+  std::vector<DetectionGroup> groups(1);
+  groups[0].cube = &cube;
+  groups[0].members = members;
+  groups[0].checkpoint_dir = spec_.ensemble.checkpoint_dir;
+  return std::move(RunGroups(groups, catalog, train_begin, train_end,
+                             score_begin, score_end, log)
+                       .front());
+}
+
+std::vector<DetectionOutput> Detector::RunGroups(
+    const std::vector<DetectionGroup>& groups, const FeatureCatalog& catalog,
+    int train_begin, int train_end, int score_begin, int score_end,
+    std::ostream* log) const {
   telemetry::TraceSpan run_span("detector.run", spec_.name);
-  // Dense member -> cube entity index map.
-  std::vector<int> member_map;
-  std::vector<UserId> member_ids;
-  for (UserId user : members) {
-    const int idx = cube.UserIndex(user);
-    if (idx < 0) continue;  // user produced no events at all
-    member_map.push_back(idx);
-    member_ids.push_back(user);
+  struct GroupState {
+    std::vector<int> member_map;  // dense member -> cube entity index
+    std::vector<UserId> member_ids;
+    std::unique_ptr<SampleBuilder> compound;  // this group's, if compound
+    std::unique_ptr<SubsetBuilder> builder;
+    std::unique_ptr<AspectEnsemble> ensemble;
+  };
+  std::vector<GroupState> states(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].members.empty()) {
+      throw std::invalid_argument("Detector::Run: no group members");
+    }
+    for (UserId user : groups[g].members) {
+      const int idx = groups[g].cube->UserIndex(user);
+      if (idx < 0) continue;  // user produced no events at all
+      states[g].member_map.push_back(idx);
+      states[g].member_ids.push_back(user);
+    }
+    if (states[g].member_map.empty()) {
+      throw std::invalid_argument("Detector::Run: no member has measurements");
+    }
+    ACOBE_GAUGE_MAX("detector.group_members", states[g].member_map.size());
   }
-  if (member_map.empty()) {
-    throw std::invalid_argument("Detector::Run: no member has measurements");
-  }
-  const int n_members = static_cast<int>(member_map.size());
 
-  ACOBE_GAUGE_MAX("detector.group_members", n_members);
-
-  // Build the behavioral representation.
-  std::unique_ptr<DeviationSeries> user_series;
-  std::unique_ptr<SampleBuilder> base_builder;
+  // Build the behavioral representation. What depends only on the cube
+  // — the user deviation series, or the normalized-day builder — is
+  // built once per distinct cube and shared by its groups.
+  std::vector<const MeasurementCube*> cubes;
+  std::vector<std::unique_ptr<DeviationSeries>> user_series;
+  std::vector<std::unique_ptr<SampleBuilder>> cube_builders;
   {
     telemetry::TraceSpan representation_span("detector.representation");
-    if (spec_.representation == Representation::kCompound) {
-      // One knob drives the whole run: an unset deviation thread count
-      // inherits the ensemble's.
-      DeviationConfig dev_config = spec_.deviation;
-      if (dev_config.threads == 0) dev_config.threads = spec_.ensemble.threads;
-      user_series = std::make_unique<DeviationSeries>(
-          DeviationSeries::Compute(cube, dev_config));
-      std::vector<DeviationSeries> groups;
-      std::vector<int> group_of_user;
-      if (spec_.deviation.include_group) {
-        const std::vector<float> mean = TrimmedGroupMeanSeries(
-            cube, member_map, spec_.deviation.group_trim);
-        groups.push_back(DeviationSeries::ComputeFromSeries(
-            mean, cube.features(), cube.days(), cube.frames(),
-            spec_.deviation));
-        group_of_user.assign(cube.users(), 0);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const MeasurementCube& cube = *groups[g].cube;
+      std::size_t c = 0;
+      while (c < cubes.size() && cubes[c] != &cube) ++c;
+      if (c == cubes.size()) {
+        cubes.push_back(&cube);
+        if (spec_.representation == Representation::kCompound) {
+          // One knob drives the whole run: an unset deviation thread
+          // count inherits the ensemble's.
+          DeviationConfig dev_config = spec_.deviation;
+          if (dev_config.threads == 0) {
+            dev_config.threads = spec_.ensemble.threads;
+          }
+          user_series.push_back(std::make_unique<DeviationSeries>(
+              DeviationSeries::Compute(cube, dev_config)));
+        } else {
+          const int norm_begin = std::max(0, train_begin);
+          const int norm_end = std::min(cube.days(), train_end);
+          cube_builders.push_back(std::make_unique<NormalizedDayBuilder>(
+              &cube, norm_begin, norm_end));
+        }
       }
-      base_builder = std::make_unique<CompoundMatrixBuilder>(
-          user_series.get(), std::move(groups), std::move(group_of_user));
-    } else {
-      const int norm_begin = std::max(0, train_begin);
-      const int norm_end = std::min(cube.days(), train_end);
-      base_builder =
-          std::make_unique<NormalizedDayBuilder>(&cube, norm_begin, norm_end);
+      GroupState& state = states[g];
+      const SampleBuilder* base = nullptr;
+      if (spec_.representation == Representation::kCompound) {
+        std::vector<DeviationSeries> group_series;
+        std::vector<int> group_of_user;
+        if (spec_.deviation.include_group) {
+          const std::vector<float> mean = TrimmedGroupMeanSeries(
+              cube, state.member_map, spec_.deviation.group_trim);
+          group_series.push_back(DeviationSeries::ComputeFromSeries(
+              mean, cube.features(), cube.days(), cube.frames(),
+              spec_.deviation));
+          group_of_user.assign(cube.users(), 0);
+        }
+        state.compound = std::make_unique<CompoundMatrixBuilder>(
+            user_series[c].get(), std::move(group_series),
+            std::move(group_of_user));
+        base = state.compound.get();
+      } else {
+        base = cube_builders[c].get();
+      }
+      state.builder = std::make_unique<SubsetBuilder>(base, state.member_map);
     }
   }
-  SubsetBuilder builder(base_builder.get(), member_map);
 
-  AspectEnsemble ensemble(EffectiveAspects(catalog, spec_.split_aspects),
-                          spec_.ensemble);
+  std::vector<EnsembleTrainTask> tasks;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    GroupState& state = states[g];
+    EnsembleConfig config = spec_.ensemble;
+    config.checkpoint_dir = groups[g].checkpoint_dir;
+    state.ensemble = std::make_unique<AspectEnsemble>(
+        EffectiveAspects(catalog, spec_.split_aspects), std::move(config));
+    tasks.push_back(EnsembleTrainTask{
+        state.ensemble.get(), state.builder.get(),
+        static_cast<int>(state.member_map.size()), train_begin, train_end});
+  }
   auto epoch_logger =
       log ? [log, this](const std::string& aspect, const nn::EpochStats& s) {
         if (s.epoch % 5 == 0) {
@@ -90,96 +138,107 @@ DetectionOutput Detector::Run(const MeasurementCube& cube,
                  << " loss " << s.loss << "\n";
         }
       }
-          : std::function<void(const std::string&, const nn::EpochStats&)>();
+          : AspectEnsemble::EpochCallback();
   {
     telemetry::TraceSpan train_span("detector.train");
-    ensemble.Train(builder, n_members, train_begin, train_end, epoch_logger);
+    AspectEnsemble::TrainAll(tasks, spec_.ensemble.threads, epoch_logger);
   }
 
-  DetectionOutput out;
-  out.degraded_aspects = ensemble.failed_aspects();
-  out.train_summaries = ensemble.train_summaries();
-  if (!out.degraded_aspects.empty() && log) {
-    (*log) << "[" << spec_.name << "] WARNING: scoring without "
-           << out.degraded_aspects.size() << " diverged aspect(s):";
-    for (const std::string& name : out.degraded_aspects) (*log) << " " << name;
-    (*log) << "\n";
-  }
-  {
-    telemetry::TraceSpan score_span("detector.score");
-    out.grid = ensemble.Score(builder, n_members, score_begin, score_end);
-  }
-  health::StageAdvance();  // the department's scoring unit
-  // The training-window grid serves double duty: the calibration
-  // baseline and the drift reference. Computed once, and only when one
-  // of the two consumers needs it.
-  ScoreGrid train_grid;
-  if (spec_.per_user_calibration || spec_.drift.enabled) {
-    train_grid = ensemble.Score(builder, n_members, train_begin, train_end);
-  }
-  if (spec_.drift.enabled) {
-    // Drift compares raw reconstruction-error distributions, so it runs
-    // before calibration rescales out.grid.
-    out.drift = ComputeScoreDrift(train_grid, out.grid, spec_.drift);
-    if (log) {
-      for (const AspectDrift& drift : out.drift) {
-        if (!drift.alert) continue;
-        (*log) << "[" << spec_.name << "] WARNING: score drift on aspect "
-               << drift.aspect_name << " (";
-        for (std::size_t i = 0; i < drift.shifts.size(); ++i) {
-          if (i) (*log) << ", ";
-          (*log) << "q" << drift.shifts[i].q * 100.0 << " "
-                 << drift.shifts[i].rel_shift * 100.0 << "%";
+  std::vector<DetectionOutput> outputs(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    // Each group's ensemble and builders are released as soon as its
+    // output is complete.
+    GroupState state = std::move(states[g]);
+    const AspectEnsemble& ensemble = *state.ensemble;
+    const SubsetBuilder& builder = *state.builder;
+    const int n_members = static_cast<int>(state.member_map.size());
+    DetectionOutput& out = outputs[g];
+    out.degraded_aspects = ensemble.failed_aspects();
+    out.train_summaries = ensemble.train_summaries();
+    if (!out.degraded_aspects.empty() && log) {
+      (*log) << "[" << spec_.name << "] WARNING: scoring without "
+             << out.degraded_aspects.size() << " diverged aspect(s):";
+      for (const std::string& name : out.degraded_aspects) {
+        (*log) << " " << name;
+      }
+      (*log) << "\n";
+    }
+    {
+      telemetry::TraceSpan score_span("detector.score");
+      out.grid = ensemble.Score(builder, n_members, score_begin, score_end);
+    }
+    health::StageAdvance();  // the department's scoring unit
+    // The training-window grid serves double duty: the calibration
+    // baseline and the drift reference. Computed once, and only when one
+    // of the two consumers needs it.
+    ScoreGrid train_grid;
+    if (spec_.per_user_calibration || spec_.drift.enabled) {
+      train_grid = ensemble.Score(builder, n_members, train_begin, train_end);
+    }
+    if (spec_.drift.enabled) {
+      // Drift compares raw reconstruction-error distributions, so it runs
+      // before calibration rescales out.grid.
+      out.drift = ComputeScoreDrift(train_grid, out.grid, spec_.drift);
+      if (log) {
+        for (const AspectDrift& drift : out.drift) {
+          if (!drift.alert) continue;
+          (*log) << "[" << spec_.name << "] WARNING: score drift on aspect "
+                 << drift.aspect_name << " (";
+          for (std::size_t i = 0; i < drift.shifts.size(); ++i) {
+            if (i) (*log) << ", ";
+            (*log) << "q" << drift.shifts[i].q * 100.0 << " "
+                   << drift.shifts[i].rel_shift * 100.0 << "%";
+          }
+          (*log) << ")\n";
         }
-        (*log) << ")\n";
       }
     }
-  }
-  if (spec_.per_user_calibration) {
-    telemetry::TraceSpan calibrate_span("detector.calibrate");
-    // Baseline each user against their own training-window error,
-    // shrunk towards the population mean so users with near-zero
-    // training error cannot explode a stray test-day blip into a
-    // top-of-list ratio.
-    const int threads = spec_.ensemble.threads;
-    for (int a = 0; a < out.grid.aspects(); ++a) {
-      // Per-user means in parallel (disjoint writes), then a serial
-      // reduction in user order so the population mean — and with it
-      // every calibrated score — is bit-identical at any thread count.
-      std::vector<double> user_mean(n_members, 0.0);
-      ParallelFor(0, n_members, threads, [&](int u) {
-        for (int d = train_grid.day_begin(); d < train_grid.day_end(); ++d) {
-          user_mean[u] += train_grid.At(a, u, d);
-        }
-        user_mean[u] /= train_grid.day_count();
-      });
-      double population_mean = 0.0;
-      for (int u = 0; u < n_members; ++u) population_mean += user_mean[u];
-      population_mean /= n_members;
-      ParallelFor(0, n_members, threads, [&](int u) {
-        const float denom = static_cast<float>(
-            user_mean[u] + 0.5 * population_mean + 1e-9);
-        for (int d = out.grid.day_begin(); d < out.grid.day_end(); ++d) {
-          out.grid.At(a, u, d) /= denom;
-        }
-      });
+    if (spec_.per_user_calibration) {
+      telemetry::TraceSpan calibrate_span("detector.calibrate");
+      // Baseline each user against their own training-window error,
+      // shrunk towards the population mean so users with near-zero
+      // training error cannot explode a stray test-day blip into a
+      // top-of-list ratio.
+      const int threads = spec_.ensemble.threads;
+      for (int a = 0; a < out.grid.aspects(); ++a) {
+        // Per-user means in parallel (disjoint writes), then a serial
+        // reduction in user order so the population mean — and with it
+        // every calibrated score — is bit-identical at any thread count.
+        std::vector<double> user_mean(n_members, 0.0);
+        ParallelFor(0, n_members, threads, [&](int u) {
+          for (int d = train_grid.day_begin(); d < train_grid.day_end(); ++d) {
+            user_mean[u] += train_grid.At(a, u, d);
+          }
+          user_mean[u] /= train_grid.day_count();
+        });
+        double population_mean = 0.0;
+        for (int u = 0; u < n_members; ++u) population_mean += user_mean[u];
+        population_mean /= n_members;
+        ParallelFor(0, n_members, threads, [&](int u) {
+          const float denom = static_cast<float>(
+              user_mean[u] + 0.5 * population_mean + 1e-9);
+          for (int d = out.grid.day_begin(); d < out.grid.day_end(); ++d) {
+            out.grid.At(a, u, d) /= denom;
+          }
+        });
+      }
     }
+    {
+      telemetry::TraceSpan rank_span("detector.rank");
+      out.list =
+          RankUsers(out.grid, spec_.critic_votes, spec_.score_top_k_days);
+    }
+    if (spec_.attribution.enabled) {
+      // After ranking: attribution explains the list that was actually
+      // produced. Read-only over the ensemble/grid, so scores stay
+      // bit-identical with attribution on or off.
+      out.attributions = AttributeDetections(ensemble, builder, out.grid,
+                                             out.list, spec_.attribution);
+    }
+    ACOBE_COUNT("detector.runs", 1);
+    out.members = std::move(state.member_ids);
   }
-  {
-    telemetry::TraceSpan rank_span("detector.rank");
-    out.list =
-        RankUsers(out.grid, spec_.critic_votes, spec_.score_top_k_days);
-  }
-  if (spec_.attribution.enabled) {
-    // After ranking: attribution explains the list that was actually
-    // produced. Read-only over the ensemble/grid, so scores stay
-    // bit-identical with attribution on or off.
-    out.attributions = AttributeDetections(ensemble, builder, out.grid,
-                                           out.list, spec_.attribution);
-  }
-  ACOBE_COUNT("detector.runs", 1);
-  out.members = std::move(member_ids);
-  return out;
+  return outputs;
 }
 
 }  // namespace acobe

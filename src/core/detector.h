@@ -101,6 +101,16 @@ struct DetectionOutput {
   std::vector<AspectTrainSummary> train_summaries;
 };
 
+/// One department group of a joint detection run (Detector::RunGroups).
+struct DetectionGroup {
+  const MeasurementCube* cube = nullptr;  // borrowed for the run
+  std::vector<UserId> members;            // user ids present in `cube`
+  /// Where this group's aspect models are checkpointed (empty = none).
+  /// Stands in for the spec's ensemble.checkpoint_dir; groups of one
+  /// run need distinct directories.
+  std::string checkpoint_dir;
+};
+
 class Detector {
  public:
   explicit Detector(DetectorSpec spec) : spec_(std::move(spec)) {}
@@ -110,12 +120,24 @@ class Detector {
   /// Trains on [train_begin, train_end) and scores [score_begin,
   /// score_end) for the group `members` (user ids present in `cube`).
   /// The group component of compound matrices is the mean behavior of
-  /// `members` (the paper's department group).
+  /// `members` (the paper's department group). The one-group case of
+  /// RunGroups.
   DetectionOutput Run(const MeasurementCube& cube,
                       const FeatureCatalog& catalog,
                       const std::vector<UserId>& members, int train_begin,
                       int train_end, int score_begin, int score_end,
                       std::ostream* log = nullptr) const;
+
+  /// Run for many groups at once; returns one output per group, in
+  /// order, each bit-identical to Run on that group alone at any thread
+  /// count. The user deviation series is computed once per distinct
+  /// cube, every group's aspect models train as one job graph over the
+  /// shared pool (AspectEnsemble::TrainAll), then each group is scored,
+  /// calibrated and ranked in turn.
+  std::vector<DetectionOutput> RunGroups(
+      const std::vector<DetectionGroup>& groups, const FeatureCatalog& catalog,
+      int train_begin, int train_end, int score_begin, int score_end,
+      std::ostream* log = nullptr) const;
 
  private:
   DetectorSpec spec_;

@@ -1,6 +1,7 @@
 #include "core/ensemble.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +32,21 @@ std::string CheckpointPath(const std::string& dir,
     stem.push_back(safe ? c : '_');
   }
   return dir + "/aspect_" + stem + ".ae";
+}
+
+/// Training rows of one aspect's batch: every `stride`-th anchor day of
+/// [day_begin, day_end) clamped to the builder's validity, per user.
+std::size_t TrainingRows(const SampleBuilder& builder, int n_users,
+                         int day_begin, int day_end, int stride) {
+  const int first = std::max(day_begin, builder.FirstValidDay());
+  const int last = std::min(day_end, builder.EndDay());
+  if (first >= last) {
+    throw std::invalid_argument(
+        "AspectEnsemble: empty day range after clamping to builder validity");
+  }
+  std::size_t days = 0;
+  for (int d = first; d < last; d += stride) ++days;
+  return days * static_cast<std::size_t>(n_users);
 }
 
 bool SpecsMatch(const nn::AutoencoderSpec& a, const nn::AutoencoderSpec& b) {
@@ -99,16 +115,11 @@ nn::Tensor AspectEnsemble::AssembleBatchForDays(const SampleBuilder& builder,
                                                 int n_users, int day_begin,
                                                 int day_end,
                                                 int stride) const {
+  const std::size_t dim = builder.SampleSize(aspect.feature_indices.size());
+  const std::size_t rows =
+      TrainingRows(builder, n_users, day_begin, day_end, stride);
   const int first = std::max(day_begin, builder.FirstValidDay());
   const int last = std::min(day_end, builder.EndDay());
-  if (first >= last) {
-    throw std::invalid_argument(
-        "AspectEnsemble: empty day range after clamping to builder validity");
-  }
-  const std::size_t dim = builder.SampleSize(aspect.feature_indices.size());
-  std::size_t rows = 0;
-  for (int d = first; d < last; d += stride) ++rows;
-  rows *= static_cast<std::size_t>(n_users);
 
   nn::Tensor data(rows, dim);
   std::size_t row = 0;
@@ -123,128 +134,156 @@ nn::Tensor AspectEnsemble::AssembleBatchForDays(const SampleBuilder& builder,
   return data;
 }
 
-void AspectEnsemble::Train(
-    const SampleBuilder& builder, int n_users, int day_begin, int day_end,
-    const std::function<void(const std::string&, const nn::EpochStats&)>&
-        on_epoch) {
-  ACOBE_SPAN("ensemble.train");
-  models_.clear();
-  specs_.clear();
-  models_.resize(aspects_.size());
-  specs_.resize(aspects_.size());
-  aspect_ok_.assign(aspects_.size(), 0);
-  summaries_.assign(aspects_.size(), AspectTrainSummary{});
-  trained_ = false;
+void AspectEnsemble::Train(const SampleBuilder& builder, int n_users,
+                           int day_begin, int day_end,
+                           const EpochCallback& on_epoch) {
+  TrainAll({EnsembleTrainTask{this, &builder, n_users, day_begin, day_end}},
+           config_.threads, on_epoch);
+}
 
-  if (!config_.checkpoint_dir.empty()) {
-    std::filesystem::create_directories(config_.checkpoint_dir);
+void AspectEnsemble::TrainAll(const std::vector<EnsembleTrainTask>& tasks,
+                              int threads, const EpochCallback& on_epoch) {
+  ACOBE_SPAN("ensemble.train");
+  // One slot per (task, aspect), in (task, aspect) order: the order in
+  // which every scheduling-independent result is recorded.
+  struct Slot {
+    const EnsembleTrainTask* task = nullptr;
+    std::size_t a = 0;
+    bool needs_train = false;
+    std::size_t cost = 0;       // rows × input dim, for job ordering
+    std::vector<float> losses;  // every attempt's epoch losses
+  };
+  std::vector<Slot> slots;
+  for (const EnsembleTrainTask& task : tasks) {
+    AspectEnsemble& e = *task.ensemble;
+    const std::size_t n = e.aspects_.size();
+    e.models_.clear();
+    e.specs_.clear();
+    e.models_.resize(n);
+    e.specs_.resize(n);
+    e.aspect_ok_.assign(n, 0);
+    e.summaries_.assign(n, AspectTrainSummary{});
+    e.trained_ = false;
+    if (!e.config_.checkpoint_dir.empty()) {
+      std::filesystem::create_directories(e.config_.checkpoint_dir);
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+      Slot slot;
+      slot.task = &task;
+      slot.a = a;
+      slots.push_back(std::move(slot));
+    }
   }
 
-  // Epoch callbacks can arrive from worker threads; serialize them.
-  // Their interleaving across aspects depends on scheduling (and, in
-  // the fused serial stream, on the round-robin), but each model only
-  // consumes its own seed-derived RNG streams, so the trained
-  // parameters are bit-identical however the epochs interleave.
-  std::mutex epoch_mutex;
+  // Phase 1 — per-model setup: spec, checkpoint resume, and the size of
+  // the batch still to train. Runs on the shared pool so its warm
+  // workers carry straight into the training stream below.
+  PooledParallelFor(0, static_cast<int>(slots.size()), threads, [&](int si) {
+    Slot& slot = slots[static_cast<std::size_t>(si)];
+    const EnsembleTrainTask& task = *slot.task;
+    AspectEnsemble& e = *task.ensemble;
+    const std::size_t a = slot.a;
+    const AspectGroup& aspect = e.aspects_[a];
+    telemetry::TraceSpan aspect_span("ensemble.train_aspect", aspect.name);
+    AspectTrainSummary& summary = e.summaries_[a];
+    summary.name = aspect.name;
+    nn::AutoencoderSpec spec;
+    spec.input_dim = task.builder->SampleSize(aspect.feature_indices.size());
+    spec.encoder_dims = e.config_.encoder_dims;
+    spec.batch_norm = e.config_.batch_norm;
+    spec.sigmoid_output = true;
+    e.specs_[a] = spec;
 
-  // Phase 1 — per-aspect setup: spec, checkpoint resume, and batch
-  // assembly for the aspects that still need training. Runs on the
-  // shared pool so its warm workers carry straight into the training
-  // stream below.
-  std::vector<nn::Tensor> datas(aspects_.size());
-  std::vector<std::uint8_t> needs_train(aspects_.size(), 0);
-  PooledParallelFor(
-      0, static_cast<int>(aspects_.size()), config_.threads,
-      [&](int ai) {
-        const std::size_t a = static_cast<std::size_t>(ai);
-        const AspectGroup& aspect = aspects_[a];
-        telemetry::TraceSpan aspect_span("ensemble.train_aspect", aspect.name);
-        AspectTrainSummary& summary = summaries_[a];
-        summary.name = aspect.name;
-        nn::AutoencoderSpec spec;
-        spec.input_dim = builder.SampleSize(aspect.feature_indices.size());
-        spec.encoder_dims = config_.encoder_dims;
-        spec.batch_norm = config_.batch_norm;
-        spec.sigmoid_output = true;
-        specs_[a] = spec;
-
-        if (config_.resume && !config_.checkpoint_dir.empty()) {
-          const std::string ckpt =
-              CheckpointPath(config_.checkpoint_dir, aspect.name);
-          telemetry::TraceSpan load_span("ensemble.checkpoint_load",
-                                         aspect.name);
-          std::ifstream in(ckpt, std::ios::binary);
-          if (in) {
-            try {
-              nn::AutoencoderSpec loaded_spec;
-              nn::Sequential net = nn::LoadAutoencoder(in, loaded_spec);
-              if (!SpecsMatch(loaded_spec, spec)) {
-                throw CheckpointMismatch(
-                    "checkpoint " + ckpt +
-                    " was trained under a different architecture");
-              }
-              models_[a] = std::move(net);
-              aspect_ok_[a] = 1;
-              summary.resumed = true;
-              summary.ok = true;
-              ACOBE_COUNT("ensemble.aspects_resumed", 1);
-              health::StageAdvance();  // this aspect is done
-              return;
-            } catch (const CheckpointMismatch&) {
-              throw;
-            } catch (const std::exception&) {
-              // Corrupt or truncated checkpoint (detected by its CRC):
-              // discard it and retrain this aspect from scratch.
-              ACOBE_COUNT("ensemble.checkpoints_corrupt", 1);
-            }
+    if (e.config_.resume && !e.config_.checkpoint_dir.empty()) {
+      const std::string ckpt =
+          CheckpointPath(e.config_.checkpoint_dir, aspect.name);
+      telemetry::TraceSpan load_span("ensemble.checkpoint_load", aspect.name);
+      std::ifstream in(ckpt, std::ios::binary);
+      if (in) {
+        try {
+          nn::AutoencoderSpec loaded_spec;
+          nn::Sequential net = nn::LoadAutoencoder(in, loaded_spec);
+          if (!SpecsMatch(loaded_spec, spec)) {
+            throw CheckpointMismatch(
+                "checkpoint " + ckpt +
+                " was trained under a different architecture");
           }
+          e.models_[a] = std::move(net);
+          e.aspect_ok_[a] = 1;
+          summary.resumed = true;
+          summary.ok = true;
+          ACOBE_COUNT("ensemble.aspects_resumed", 1);
+          health::StageAdvance();  // this aspect is done
+          return;
+        } catch (const CheckpointMismatch&) {
+          throw;
+        } catch (const std::exception&) {
+          // Corrupt or truncated checkpoint (detected by its CRC):
+          // discard it and retrain this aspect from scratch.
+          ACOBE_COUNT("ensemble.checkpoints_corrupt", 1);
         }
-        datas[a] =
-            AssembleBatchForDays(builder, aspect, n_users, day_begin, day_end,
-                                 std::max(1, config_.train_stride));
-        needs_train[a] = 1;
-      });
+      }
+    }
+    const int stride = std::max(1, e.config_.train_stride);
+    slot.cost = TrainingRows(*task.builder, task.n_users, task.day_begin,
+                             task.day_end, stride) *
+                spec.input_dim;
+    slot.needs_train = true;
+  });
 
-  // Phase 2 — the fused training stream: every still-untrained aspect
-  // becomes one TrainJob and the whole batch goes through
-  // nn::TrainStream sharing one backend context (warm shared pool,
-  // per-worker reused workspaces and pack arenas; with a serial thread
-  // budget, round-robin interleaved per-model epochs on one workspace)
-  // instead of N cold independent trainers. Divergence is handled at
-  // stream granularity: diverged aspects re-enter the next round with
-  // the retry seed/learning-rate derivations until the attempt budget
-  // runs out.
+  // Phase 2 — the job graph: every still-untrained model becomes one
+  // TrainJob and the whole batch goes through one nn::TrainStream (warm
+  // shared pool, per-worker reused workspaces and pack arenas). A job
+  // assembles its batch on the worker as it starts and frees it as it
+  // ends, so at most one batch per worker is alive however many
+  // ensembles train together. Divergence is handled at stream
+  // granularity: diverged models re-enter the next round with the retry
+  // seed/learning-rate derivations until their attempt budget runs out.
   struct Pending {
-    std::size_t a;
+    Slot* slot;
     int attempt;
   };
   std::vector<Pending> pending;
-  for (std::size_t a = 0; a < aspects_.size(); ++a) {
-    if (needs_train[a]) pending.push_back({a, 0});
+  for (Slot& slot : slots) {
+    if (slot.needs_train) pending.push_back({&slot, 0});
   }
-  const int attempts = std::max(1, config_.max_train_attempts);
+  // Longest first: the pool claims jobs in order, so the biggest models
+  // start at once and the small ones fill in around them.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Pending& x, const Pending& y) {
+                     return x.slot->cost > y.slot->cost;
+                   });
+  // Epoch callbacks can arrive from worker threads; serialize them.
+  // Their interleaving depends on scheduling, but each model only
+  // consumes its own seed-derived RNG streams, so the trained
+  // parameters are bit-identical however the jobs are scheduled.
+  std::mutex epoch_mutex;
+  std::atomic<int> live_batches(0);
   while (!pending.empty()) {
     telemetry::TraceSpan stream_span("ensemble.train_stream");
     std::vector<nn::Sequential> nets(pending.size());
     std::vector<std::unique_ptr<nn::Optimizer>> optimizers(pending.size());
     std::vector<nn::TrainJob> jobs(pending.size());
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      const std::size_t a = pending[i].a;
-      const AspectGroup& aspect = aspects_[a];
-      AspectTrainSummary& summary = summaries_[a];
+      const EnsembleTrainTask& task = *pending[i].slot->task;
+      const AspectEnsemble& e = *task.ensemble;
+      const EnsembleConfig& config = e.config_;
+      const std::size_t a = pending[i].slot->a;
+      const AspectGroup& aspect = e.aspects_[a];
+      AspectTrainSummary& summary = task.ensemble->summaries_[a];
       summary.attempts = pending[i].attempt + 1;
       summary.epoch_losses.clear();
-      nets[i] = nn::BuildAutoencoder(specs_[a]);
+      nets[i] = nn::BuildAutoencoder(e.specs_[a]);
       // Attempt 0 reproduces the single-attempt seed derivations
       // bit-exactly; retries fork deterministic fresh streams.
       const std::uint64_t attempt_key =
           static_cast<std::uint64_t>(pending[i].attempt);
-      Rng rng(config_.seed + a * 7919 + attempt_key * 0x9E3779B97F4A7C15ULL);
+      Rng rng(config.seed + a * 7919 + attempt_key * 0x9E3779B97F4A7C15ULL);
       nets[i].InitParams(rng);
-      const float lr = config_.learning_rate *
-                       std::pow(config_.retry_lr_decay,
+      const float lr = config.learning_rate *
+                       std::pow(config.retry_lr_decay,
                                 static_cast<float>(pending[i].attempt));
-      switch (config_.optimizer) {
+      switch (config.optimizer) {
         case OptimizerKind::kAdadelta:
           optimizers[i] = std::make_unique<nn::Adadelta>(lr);
           break;
@@ -258,41 +297,60 @@ void AspectEnsemble::Train(
       nn::TrainJob& job = jobs[i];
       job.net = &nets[i];
       job.optimizer = optimizers[i].get();
-      job.data = &datas[a];
-      job.config = config_.train;
+      job.config = config.train;
       job.config.seed =
-          config_.seed + a * 104729 + attempt_key * 0xC2B2AE3D27D4EB4FULL;
-      // Per-aspect per-epoch loss trajectory ("train.loss.<aspect>");
-      // each aspect owns its Series, so concurrent appends never
-      // contend.
-      telemetry::Series* loss_series =
-          telemetry::MetricsEnabled()
-              ? &telemetry::GetSeries("train.loss." + aspect.name)
-              : nullptr;
-      job.on_epoch = [&summary, loss_series, &epoch_mutex, &on_epoch,
+          config.seed + a * 104729 + attempt_key * 0xC2B2AE3D27D4EB4FULL;
+      job.make_data = [&task, &e, &aspect, &live_batches] {
+        [[maybe_unused]] const int live = ++live_batches;
+        ACOBE_GAUGE_MAX("ensemble.train_batches_peak", live);
+        return e.AssembleBatchForDays(*task.builder, aspect, task.n_users,
+                                      task.day_begin, task.day_end,
+                                      std::max(1, e.config_.train_stride));
+      };
+      job.on_epoch = [&summary, &epoch_mutex, &on_epoch,
                       &aspect](const nn::EpochStats& s) {
         summary.epoch_losses.push_back(s.loss);
-        if (loss_series) loss_series->Append(s.loss);
         if (on_epoch) {
           std::lock_guard<std::mutex> lock(epoch_mutex);
           on_epoch(aspect.name, s);
         }
       };
+      // Checkpoint as soon as the model is trained, on its worker: a
+      // killed run restarts from every model finished so far.
+      job.on_done = [&e, a, &live_batches](nn::TrainJob& done) {
+        --live_batches;
+        if (done.diverged) return;
+        if (!e.config_.checkpoint_dir.empty()) {
+          const std::string ckpt =
+              CheckpointPath(e.config_.checkpoint_dir, e.aspects_[a].name);
+          telemetry::TraceSpan save_span("ensemble.checkpoint_save",
+                                         e.aspects_[a].name);
+          WriteFileAtomic(ckpt, [&](std::ostream& out) {
+            nn::SaveAutoencoder(e.specs_[a], *done.net, out);
+          });
+        }
+        health::StageAdvance();
+      };
     }
 
-    nn::TrainStream(jobs, config_.threads);
+    nn::TrainStream(jobs, threads);
 
     std::vector<Pending> retry;
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      const std::size_t a = pending[i].a;
-      AspectTrainSummary& summary = summaries_[a];
+      Slot& slot = *pending[i].slot;
+      AspectEnsemble& e = *slot.task->ensemble;
+      const std::size_t a = slot.a;
+      AspectTrainSummary& summary = e.summaries_[a];
+      slot.losses.insert(slot.losses.end(), summary.epoch_losses.begin(),
+                         summary.epoch_losses.end());
       if (jobs[i].diverged) {
         ACOBE_COUNT("ensemble.train_retries", 1);
+        const int attempts = std::max(1, e.config_.max_train_attempts);
         if (pending[i].attempt + 1 < attempts) {
-          retry.push_back({a, pending[i].attempt + 1});
+          retry.push_back({&slot, pending[i].attempt + 1});
           continue;
         }
-        if (!config_.allow_degraded) {
+        if (!e.config_.allow_degraded) {
           throw nn::TrainingDiverged(jobs[i].error);
         }
         // Irrecoverable: leave aspect_ok_[a] == 0; Score() ranks from
@@ -301,31 +359,37 @@ void AspectEnsemble::Train(
         health::StageAdvance();
         continue;
       }
-      models_[a] = std::move(nets[i]);
-      aspect_ok_[a] = 1;
+      e.models_[a] = std::move(nets[i]);
+      e.aspect_ok_[a] = 1;
       summary.ok = true;
       summary.epochs = static_cast<int>(summary.epoch_losses.size());
       summary.final_loss =
           summary.epoch_losses.empty() ? 0.0f : summary.epoch_losses.back();
-      if (!config_.checkpoint_dir.empty()) {
-        const std::string ckpt =
-            CheckpointPath(config_.checkpoint_dir, aspects_[a].name);
-        telemetry::TraceSpan save_span("ensemble.checkpoint_save",
-                                       aspects_[a].name);
-        WriteFileAtomic(ckpt, [&](std::ostream& out) {
-          nn::SaveAutoencoder(specs_[a], models_[a], out);
-        });
-      }
-      health::StageAdvance();
     }
     pending = std::move(retry);
   }
-  ACOBE_COUNT("ensemble.aspects_trained", healthy_aspect_count());
-  trained_ = true;
-  if (healthy_aspect_count() == 0) {
-    trained_ = false;
-    throw std::runtime_error(
-        "AspectEnsemble::Train: every aspect diverged on every attempt");
+
+  // Per-aspect per-epoch loss trajectories ("train.loss.<aspect>"),
+  // appended after the stream in (task, aspect) order so the series are
+  // the same at every thread count.
+  if (telemetry::MetricsEnabled()) {
+    for (const Slot& slot : slots) {
+      if (!slot.needs_train) continue;
+      telemetry::Series& series = telemetry::GetSeries(
+          "train.loss." + slot.task->ensemble->aspects_[slot.a].name);
+      for (float loss : slot.losses) series.Append(loss);
+    }
+  }
+  for (const EnsembleTrainTask& task : tasks) {
+    AspectEnsemble& e = *task.ensemble;
+    ACOBE_COUNT("ensemble.aspects_trained", e.healthy_aspect_count());
+    e.trained_ = e.healthy_aspect_count() > 0;
+  }
+  for (const EnsembleTrainTask& task : tasks) {
+    if (!task.ensemble->trained_) {
+      throw std::runtime_error(
+          "AspectEnsemble::Train: every aspect diverged on every attempt");
+    }
   }
 }
 

@@ -92,18 +92,49 @@ struct AspectTrainSummary {
   std::vector<float> epoch_losses;
 };
 
+class AspectEnsemble;
+
+/// One ensemble's share of a joint training run (AspectEnsemble::TrainAll):
+/// train `ensemble` on samples from `builder` for users [0, n_users) and
+/// anchor days [day_begin, day_end) intersected with the builder's valid
+/// range. The ensemble and builder are borrowed for the call.
+struct EnsembleTrainTask {
+  AspectEnsemble* ensemble = nullptr;
+  const SampleBuilder* builder = nullptr;
+  int n_users = 0;
+  int day_begin = 0;
+  int day_end = 0;
+};
+
 class AspectEnsemble {
  public:
+  using EpochCallback =
+      std::function<void(const std::string& aspect, const nn::EpochStats&)>;
+
   /// One autoencoder per entry of `aspects` (feature index groups).
   AspectEnsemble(std::vector<AspectGroup> aspects, EnsembleConfig config);
 
   /// Trains every aspect model on samples from `builder` for users
   /// [0, n_users) and anchor days [day_begin, day_end) intersected with
-  /// the builder's valid range.
+  /// the builder's valid range. The one-task case of TrainAll, over
+  /// this ensemble's configured thread count.
   void Train(const SampleBuilder& builder, int n_users, int day_begin,
-             int day_end,
-             const std::function<void(const std::string&, const nn::EpochStats&)>&
-                 on_epoch = nullptr);
+             int day_end, const EpochCallback& on_epoch = nullptr);
+
+  /// Trains several ensembles as one (task × aspect) job graph: every
+  /// aspect model still to train goes through a single nn::TrainStream
+  /// over `threads` workers (ResolveThreadCount rule), longest job
+  /// (rows × input dim) first. Each job assembles its batch on the
+  /// worker as it starts, checkpoints its model and frees the batch as
+  /// it ends, so at most one batch per worker is alive (the
+  /// "ensemble.train_batches_peak" gauge). Each task keeps its own
+  /// config — seeds, checkpoint_dir, resume, retries — and every model
+  /// is bit-identical to training its ensemble alone, at any thread
+  /// count. The "train.loss.<aspect>" series receive each model's
+  /// epoch losses after the stream, in (task, aspect) order. Throws
+  /// like Train() for the first task that cannot train.
+  static void TrainAll(const std::vector<EnsembleTrainTask>& tasks,
+                       int threads, const EpochCallback& on_epoch = nullptr);
 
   /// Scores users over [day_begin, day_end) (intersected with validity).
   ScoreGrid Score(const SampleBuilder& builder, int n_users, int day_begin,

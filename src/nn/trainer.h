@@ -2,26 +2,25 @@
 
 // Deterministic mini-batch trainer for reconstruction models.
 //
-// Three entry tiers, all producing bit-identical parameters for a given
+// Two entry tiers, both producing bit-identical parameters for a given
 // (net, data, config) because every model consumes only its own
 // seed-derived RNG streams and its own accumulation order:
-//   TrainReconstruction   — one model, start to finish (the original API).
-//   ReconstructionTrainer — one model as a resumable epoch stepper, so a
-//                           caller can interleave epochs across models.
-//   TrainStream           — a batch of models through one shared training
-//                           context: serial callers get round-robin
-//                           interleaved epochs over a single reused
-//                           workspace (warm caches, zero per-model buffer
-//                           re-allocation); parallel callers get job-level
-//                           fan-out over the shared thread pool with
-//                           per-worker workspaces.
+//   TrainReconstruction — one model, start to finish.
+//   TrainStream         — a batch of models through one shared training
+//                         context: serial callers run the jobs one after
+//                         another over a single reused workspace (warm
+//                         caches, zero per-model buffer re-allocation);
+//                         parallel callers get job-level fan-out over the
+//                         shared thread pool with per-worker workspaces.
+//                         A job builds its data on the worker when it
+//                         starts, so a stream holds at most one batch
+//                         per worker.
 
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 
@@ -70,56 +69,24 @@ struct TrainWorkspace {
 /// pool workers route through this).
 TrainWorkspace& ThreadTrainWorkspace();
 
-/// One model's training loop as a resumable stepper: construct, then
-/// call RunEpoch() until done(). Exists so TrainStream can interleave
-/// epochs across models; TrainReconstruction is the run-to-completion
-/// wrapper. The trainer borrows net/optimizer/data/workspace — all must
-/// outlive it. Passing a null workspace uses an internal one.
-class ReconstructionTrainer {
- public:
-  ReconstructionTrainer(Sequential& net, Optimizer& optimizer,
-                        const Tensor& data, const TrainConfig& config,
-                        TrainWorkspace* workspace = nullptr);
-
-  /// True once the epoch budget is spent or early stopping tripped.
-  bool done() const { return stopped_ || next_epoch_ >= config_.epochs; }
-
-  /// Runs one epoch (must not be called when done()). Appends to
-  /// history(), updates the early-stopping state, and throws
-  /// TrainingDiverged on a non-finite loss when the config asks for it.
-  EpochStats RunEpoch();
-
-  const std::vector<EpochStats>& history() const { return history_; }
-  std::vector<EpochStats> TakeHistory() { return std::move(history_); }
-
- private:
-  Sequential& net_;
-  Optimizer& optimizer_;
-  const Tensor& data_;
-  TrainConfig config_;
-  TrainWorkspace owned_workspace_;
-  TrainWorkspace* workspace_;
-  Rng rng_;
-  std::vector<std::size_t> order_;
-  std::vector<EpochStats> history_;
-  std::size_t batch_;
-  int next_epoch_ = 0;
-  bool stopped_ = false;
-  float best_loss_;
-  int stall_ = 0;
-};
-
-/// One model's slot in a TrainStream batch. The caller owns net,
-/// optimizer, and data (all borrowed for the duration of the stream);
-/// the stream fills in the outcome fields.
+/// One model's slot in a TrainStream batch. The caller owns net and
+/// optimizer (both borrowed for the duration of the stream); the stream
+/// fills in the outcome fields.
 struct TrainJob {
   Sequential* net = nullptr;
   Optimizer* optimizer = nullptr;
-  const Tensor* data = nullptr;
+  /// Builds the training rows, on the worker as the job starts; the
+  /// stream frees them as the job ends, so it never holds more batches
+  /// than it has workers.
+  std::function<Tensor()> make_data;
   TrainConfig config;
   /// Observes this job's epochs. Called from whichever thread runs the
   /// job — callers that share state across jobs must synchronize.
   std::function<void(const EpochStats&)> on_epoch;
+  /// Called on the worker once the job has ended (trained or diverged)
+  /// and its batch is freed — e.g. to checkpoint the model while other
+  /// jobs are still training.
+  std::function<void(TrainJob&)> on_done;
 
   // Outcome (written by TrainStream):
   std::vector<EpochStats> history;
@@ -129,17 +96,17 @@ struct TrainJob {
 
 /// Trains every job in `jobs` through one shared context. With a
 /// resolved thread count of 1 (or when called from a pool worker) the
-/// jobs advance in deterministic round-robin: one epoch per live job
-/// per pass, all through the calling thread's shared workspace — the
-/// fused stream that keeps pool, caches, and scratch warm across the
-/// whole ensemble instead of N cold independent trainers. With more
-/// threads, jobs fan out job-per-worker over the shared pool, each
-/// worker reusing its thread-local workspace across the jobs it claims.
+/// jobs run one after another, in order, on the calling thread's
+/// workspace. With more threads, jobs fan out job-per-worker over the
+/// shared pool in vector order (put the longest first), each worker
+/// reusing its thread-local workspace across the jobs it claims.
 /// Either way each model's parameters are bit-identical to training it
 /// alone: a job only ever consumes its own seed-derived streams.
 /// Divergence is per-job: a TrainingDiverged job is recorded
 /// (diverged/error) and the stream continues; no exception escapes for
-/// it. `threads` follows the ResolveThreadCount rule.
+/// it. Any other exception (from make_data, on_epoch or on_done)
+/// propagates to the caller. `threads` follows the ResolveThreadCount
+/// rule.
 void TrainStream(std::vector<TrainJob>& jobs, int threads);
 
 /// Trains `net` to reconstruct `data` (each row one sample) with MSE.

@@ -18,7 +18,10 @@ with --health-out/--prom-out, once without — and asserts:
     (tools/check_prom.py),
   - the acobe_detect CLI contract holds: --version names the resolved
     GEMM thread count, and the retired backend-selection flag is a
-    usage error (exit 2).
+    usage error (exit 2),
+  - stdout and the --metrics-out series are byte-identical at
+    --threads=1 and --threads=4, in memory and with --stream --shards=2,
+    on three departments that train concurrently.
 
 Usage:
     health_identity_test.py --gen GEN --detect DETECT --top TOP \
@@ -98,7 +101,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="acobe-health-id-") as tmp:
         data = os.path.join(tmp, "data")
         os.makedirs(data)
-        run([args.gen, f"--out={data}", "--users=12", "--departments=2",
+        run([args.gen, f"--out={data}", "--users=12", "--departments=3",
              "--seed=11", "--rate=0.3", "--start=2010-01-02",
              "--end=2010-03-17"])
 
@@ -155,6 +158,32 @@ def main():
                   file=sys.stderr)
             return 1
 
+        # All departments train at once as one job graph; nothing the
+        # run reports may depend on the worker count.
+        for mode, extra in (("memory", []),
+                            ("stream", ["--stream", "--shards=2"])):
+            outs, series = [], []
+            for threads in (1, 4):
+                tag = f"{mode}_t{threads}"
+                metrics = os.path.join(tmp, tag + ".metrics.json")
+                outs.append(read_bytes(detect(
+                    tag, extra + [f"--threads={threads}",
+                                  f"--metrics-out={metrics}"])))
+                with open(metrics, encoding="utf-8") as f:
+                    series.append(json.load(f)["series"])
+            if outs[0].count(b"=== ") < 3:
+                print(f"FAIL: {mode} run listed fewer than 3 departments",
+                      file=sys.stderr)
+                return 1
+            if outs[0] != outs[1]:
+                print(f"FAIL: {mode} stdout differs at --threads=1 and "
+                      "--threads=4", file=sys.stderr)
+                return 1
+            if not series[0] or series[0] != series[1]:
+                print(f"FAIL: {mode} --metrics-out series differ at "
+                      "--threads=1 and --threads=4", file=sys.stderr)
+                return 1
+
         run([sys.executable, args.check_health, health, "--require-final"])
         top = run([args.top, health, "--once"])
         rendered = top.stdout.decode(errors="replace")
@@ -172,7 +201,8 @@ def main():
                  "--require-prefix=acobe_", "--min-samples=10"])
 
     print("health_identity_test: OK — output byte-identical with the "
-          "health plane on; heartbeats, top render and prom export valid")
+          "health plane on and at 1 and 4 threads; heartbeats, top render "
+          "and prom export valid")
     return 0
 
 

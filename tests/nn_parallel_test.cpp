@@ -5,15 +5,18 @@
 //   - pack-arena accounting: PackBytesInUse grows with GemmTransB
 //     staging, ReleaseThreadScratch returns it, oversized retained
 //     capacity shrinks back on the next small request;
-//   - TrainStream: serial (fused round-robin) and parallel job fan-out
-//     both produce histories bit-identical to TrainReconstruction, and
-//     a diverging job is captured per-job without poisoning the rest.
+//   - TrainStream: serial (jobs one after another) and parallel job
+//     fan-out both produce histories bit-identical to
+//     TrainReconstruction, never hold more built batches than workers,
+//     and capture a diverging job per-job without poisoning the rest.
 //
 // Every case pins the GEMM thread count it needs and restores the entry
 // state afterwards. CI also runs this binary under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -193,6 +196,9 @@ TrainConfig StreamConfig(std::uint64_t seed) {
   return cfg;
 }
 
+// Every job builds its data through make_data and reports back through
+// on_done; the number of batches alive at once is checked against the
+// worker count.
 void RunStreamParityAt(int threads) {
   ThreadsGuard guard;
   SetNnThreads(1);
@@ -215,23 +221,36 @@ void RunStreamParityAt(int threads) {
   // The same three models as one stream.
   std::vector<Sequential> nets;
   std::vector<Adadelta> opts;
-  std::vector<Tensor> datas;
   nets.reserve(kJobs);
   opts.reserve(kJobs);
-  datas.reserve(kJobs);
   for (int j = 0; j < kJobs; ++j) {
     nets.push_back(MakeNet(100 + j));
     opts.emplace_back(1.0f);
-    datas.push_back(TrainingData(200 + j));
   }
+  std::atomic<int> live(0), peak(0), done(0);
   std::vector<TrainJob> jobs(kJobs);
   for (int j = 0; j < kJobs; ++j) {
     jobs[j].net = &nets[j];
     jobs[j].optimizer = &opts[j];
-    jobs[j].data = &datas[j];
     jobs[j].config = StreamConfig(300 + j);
+    jobs[j].make_data = [j, &live, &peak] {
+      const int now = ++live;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      return TrainingData(200 + j);
+    };
+    jobs[j].on_done = [&live, &done](TrainJob& job) {
+      --live;
+      ++done;
+      EXPECT_FALSE(job.history.empty());
+    };
   }
   TrainStream(jobs, threads);
+  EXPECT_EQ(done.load(), kJobs);
+  EXPECT_EQ(live.load(), 0);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), std::min(threads, kJobs));
 
   for (int j = 0; j < kJobs; ++j) {
     EXPECT_FALSE(jobs[j].diverged) << "job " << j;
@@ -253,11 +272,12 @@ void RunStreamParityAt(int threads) {
   }
 }
 
-TEST(TrainStreamTest, SerialRoundRobinMatchesSoloTrainingBitwise) {
+TEST(TrainStreamTest, SerialStreamMatchesSoloTrainingBitwise) {
   RunStreamParityAt(1);
 }
 
 TEST(TrainStreamTest, ParallelFanOutMatchesSoloTrainingBitwise) {
+  RunStreamParityAt(2);
   RunStreamParityAt(4);
 }
 
@@ -268,18 +288,19 @@ TEST(TrainStreamTest, DivergedJobIsCapturedWithoutPoisoningTheStream) {
   Sequential good_net = MakeNet(100);
   Sequential bad_net = MakeNet(101);
   Adadelta good_opt(1.0f), bad_opt(1.0f);
-  const Tensor good_data = TrainingData(200);
-  Tensor bad_data = TrainingData(201);
-  bad_data.data()[0] = std::nanf("");  // poisons the first epoch's loss
 
   std::vector<TrainJob> jobs(2);
   jobs[0].net = &bad_net;
   jobs[0].optimizer = &bad_opt;
-  jobs[0].data = &bad_data;
+  jobs[0].make_data = [] {
+    Tensor bad_data = TrainingData(201);
+    bad_data.data()[0] = std::nanf("");  // poisons the first epoch's loss
+    return bad_data;
+  };
   jobs[0].config = StreamConfig(300);
   jobs[1].net = &good_net;
   jobs[1].optimizer = &good_opt;
-  jobs[1].data = &good_data;
+  jobs[1].make_data = [] { return TrainingData(200); };
   jobs[1].config = StreamConfig(301);
   TrainStream(jobs, 1);
 

@@ -14,9 +14,11 @@
 //                [--prom-out=FILE] [--version]
 //
 // --threads: worker threads for training/scoring/deviation (0 = the
-// ACOBE_THREADS environment variable, else hardware concurrency).
-// Results are identical for any thread count, and identical with
-// telemetry on or off.
+// ACOBE_THREADS environment variable, else hardware concurrency). All
+// departments (of a shard, with --stream) train at once: every
+// (department, aspect) model is one job over the shared pool. Results
+// are identical for any thread count, and identical with telemetry on
+// or off.
 //
 // Out-of-core mode: --stream replaces the in-memory LogStore with the
 // streaming data plane (logs/spool.h). Pass A reads each CSV once and
@@ -932,13 +934,18 @@ int main(int argc, char** argv) {
   // shard's extractors as it goes, so the metadata lives here.
   const CertAcobeExtractor meta(start, 1);
 
-  auto make_dept_spec = [&](const std::string& department) {
-    DetectorSpec dept_spec = spec;
+  const Detector detector(spec);
+  auto dept_group = [&](const MeasurementCube& cube,
+                        const std::string& department,
+                        std::vector<UserId> members) {
+    DetectionGroup group;
+    group.cube = &cube;
+    group.members = std::move(members);
     if (!checkpoint_dir.empty()) {
-      dept_spec.ensemble.checkpoint_dir =
+      group.checkpoint_dir =
           checkpoint_dir + "/" + SanitizePathComponent(department);
     }
-    return dept_spec;
+    return group;
   };
   auto warn_degraded = [](const std::string& department,
                           const DetectionOutput& out) {
@@ -951,16 +958,36 @@ int main(int argc, char** argv) {
   };
 
   // --- compute (pass B) ----------------------------------------------------
-  // Both paths leave `results` in the canonical department order.
+  // Both paths leave `results` in the canonical department order. Every
+  // department of a run (of a shard, in --stream mode) trains at once:
+  // one RunGroups call, one (department x aspect) job graph.
   std::vector<DeptResult> results;
   // One "detect" unit per trained aspect plus one for scoring, per
-  // department: ensemble training and Detector::Run advance the stage.
+  // department: ensemble training and Detector::RunGroups advance it.
   const std::uint64_t dept_units = meta.catalog().aspects().size() + 1;
+  auto run_groups = [&](const std::vector<DetectionGroup>& groups,
+                        const std::vector<std::string>& names,
+                        const FeatureCatalog& catalog) {
+    health::SetStageDetail("departments: " + std::to_string(groups.size()));
+    std::vector<DetectionOutput> outs = detector.RunGroups(
+        groups, catalog, 0, train_end, train_end, test_end);
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      warn_degraded(names[i], outs[i]);
+      results.push_back(DeptResult{names[i], std::move(outs[i])});
+    }
+  };
   try {
     if (stream) {
       const std::vector<std::string> departments = tables.Departments();
       const int n_shards = spooler->shards();
       health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
+      // The detect stage's whole total, added on its first entry.
+      std::uint64_t detect_total = 0;
+      for (const std::string& department : departments) {
+        if (tables.UsersInDepartment(department).size() >= 3) {
+          detect_total += dept_units;
+        }
+      }
       for (int s = 0; s < n_shards; ++s) {
         if (ShutdownRequested()) return abort_run("replay");
         health::SetStage("replay");
@@ -983,18 +1010,17 @@ int main(int argc, char** argv) {
           spooler->Replay(s, demux);
         }
         health::StageAdvance();
-        health::SetStage("detect", shard_depts.size() * dept_units);
+        if (ShutdownRequested()) return abort_run("detect");
+        health::SetStage("detect", std::exchange(detect_total, 0));
+        std::vector<DetectionGroup> groups;
+        std::vector<std::string> names;
         for (int d = 0; d < demux.departments(); ++d) {
-          if (ShutdownRequested()) return abort_run("detect");
-          const auto& [department, members] = shard_depts[d];
-          health::SetStageDetail(department);
-          const Detector detector(make_dept_spec(department));
-          DetectionOutput out =
-              detector.Run(demux.extractor(d).cube(), meta.catalog(), members,
-                           0, train_end, train_end, test_end);
-          warn_degraded(department, out);
-          results.push_back(DeptResult{department, std::move(out)});
+          auto& [department, members] = shard_depts[d];
+          groups.push_back(dept_group(demux.extractor(d).cube(), department,
+                                      std::move(members)));
+          names.push_back(department);
         }
+        run_groups(groups, names, meta.catalog());
       }
       // Shard order is not report order: restore the canonical LDAP
       // department order before emitting anything.
@@ -1018,18 +1044,19 @@ int main(int argc, char** argv) {
         }
         health::StageAdvance();
       }
+      if (ShutdownRequested()) return abort_run("detect");
+      std::vector<DetectionGroup> groups;
+      std::vector<std::string> names;
       for (const std::string& department : store.Departments()) {
-        if (ShutdownRequested()) return abort_run("detect");
-        const auto members = store.UsersInDepartment(department);
+        auto members = store.UsersInDepartment(department);
         if (members.size() < 3) continue;
-        health::SetStage("detect", dept_units);
-        health::SetStageDetail(department);
-        const Detector detector(make_dept_spec(department));
-        DetectionOutput out =
-            detector.Run(extractor.cube(), extractor.catalog(), members, 0,
-                         train_end, train_end, test_end);
-        warn_degraded(department, out);
-        results.push_back(DeptResult{department, std::move(out)});
+        groups.push_back(
+            dept_group(extractor.cube(), department, std::move(members)));
+        names.push_back(department);
+      }
+      if (!groups.empty()) {
+        health::SetStage("detect", groups.size() * dept_units);
+        run_groups(groups, names, extractor.catalog());
       }
     }
   } catch (const CheckpointMismatch& e) {
