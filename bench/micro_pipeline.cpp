@@ -1,5 +1,5 @@
 // Micro-benchmarks of the data pipeline substrates: log synthesis
-// throughput, feature extraction, deviation computation, compound
+// throughput, CSV ingest and entity interning, feature extraction, deviation computation, compound
 // matrix assembly, the critic, and the parallel ensemble runtime
 // (serial-vs-parallel train+score speedup).
 
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,11 +19,15 @@
 #include "behavior/normalized_day.h"
 #include "common/health.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/attribution.h"
 #include "core/critic.h"
 #include "core/ensemble.h"
 #include "features/cert_features.h"
+#include "logs/entity_table.h"
+#include "logs/log_io.h"
+#include "logs/log_sink.h"
 #include "simdata/cert_simulator.h"
 
 using namespace acobe;
@@ -325,6 +330,80 @@ void BM_Critic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * users);
 }
 BENCHMARK(BM_Critic)->Arg(100)->Arg(1000);
+
+/// Counts events and drops them: isolates CSV parsing and interning
+/// from any downstream store or spool.
+class CountingSink : public LogSink {
+ public:
+  void Consume(const LogonEvent&) override { ++rows; }
+  void Consume(const DeviceEvent&) override { ++rows; }
+  void Consume(const FileEvent&) override { ++rows; }
+  void Consume(const HttpEvent&) override { ++rows; }
+  void Consume(const EmailEvent&) override { ++rows; }
+  void Consume(const EnterpriseEvent&) override { ++rows; }
+  void Consume(const ProxyEvent&) override { ++rows; }
+  std::size_t rows = 0;
+};
+
+/// CSV ingest rate (items = rows) of ReadFileCsv (arg 0) and ReadHttpCsv
+/// (arg 1) over a simulated CERT-layout log held in memory, interning
+/// into a fresh catalog each iteration as a detect run does.
+void BM_IngestCsv(benchmark::State& state) {
+  const bool http = state.range(0) == 1;
+  LogStore store;
+  sim::CertSimulator simulator(SmallSim(40), store);
+  simulator.Run(store);
+  std::ostringstream csv;
+  if (http) {
+    WriteHttpCsv(store, csv);
+  } else {
+    WriteFileCsv(store, csv);
+  }
+  const std::string text = csv.str();
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    EntityCatalog tables;
+    CountingSink sink;
+    std::istringstream in(text);
+    if (http) {
+      ReadHttpCsv(in, tables, sink, IngestOptions{});
+    } else {
+      ReadFileCsv(in, tables, sink, IngestOptions{});
+    }
+    rows = sink.rows;
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.SetBytesProcessed(state.iterations() * text.size());
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetLabel(http ? "http.csv" : "file.csv");
+}
+BENCHMARK(BM_IngestCsv)->Arg(0)->Arg(1);
+
+/// EntityTable::Lookup rate (items = lookups) at ~120k interned names,
+/// probed in a shuffled order so the access pattern is not sequential.
+void BM_EntityIntern(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::string> names;
+  names.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back("share/dept-" + std::to_string(i % 12) + "/doc-" +
+                    std::to_string(i));
+  }
+  EntityTable table;
+  for (const std::string& name : names) table.Intern(name);
+  Rng rng(5);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(names[i - 1], names[rng.NextBounded(i)]);
+  }
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (const std::string& name : names) sum += table.Lookup(name);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EntityIntern)->Arg(120000);
 
 }  // namespace
 

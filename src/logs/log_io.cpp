@@ -1,11 +1,18 @@
 #include "logs/log_io.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/telemetry.h"
@@ -16,72 +23,177 @@ namespace {
 
 std::string TsToString(Timestamp ts) { return std::to_string(ts); }
 
+[[noreturn]] void BadField(const char* what, const char* problem,
+                           std::string_view s) {
+  std::string msg(what);
+  msg.append(": ").append(problem).append(" '").append(s).append("'");
+  throw std::invalid_argument(msg);
+}
+
 /// Strict integer parse: the whole field must be a decimal integer
 /// (optional leading minus), no whitespace, no trailing junk —
 /// std::stoll's tolerance for both is how garbage timestamps slip in.
-std::int64_t ParseI64(const std::string& s, const char* what) {
+std::int64_t ParseI64(std::string_view s, const char* what) {
   std::int64_t v = 0;
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, v);
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
   if (ec != std::errc() || ptr != end || s.empty()) {
-    throw std::invalid_argument(std::string(what) + ": bad integer '" + s +
-                                "'");
+    BadField(what, "bad integer", s);
   }
   return v;
 }
 
-Timestamp ParseTs(const std::string& s, const IngestOptions& opts) {
+Timestamp ParseTs(std::string_view s, const IngestOptions& opts) {
   const std::int64_t ts = ParseI64(s, "ts");
   if (ts < opts.ts_min || ts > opts.ts_max) {
-    throw std::invalid_argument("ts: timestamp " + s +
-                                " outside plausibility window");
+    std::string msg("ts: timestamp ");
+    msg.append(s).append(" outside plausibility window");
+    throw std::invalid_argument(msg);
   }
   return ts;
 }
 
-std::uint32_t ParseU32(const std::string& s, const char* what) {
+std::uint32_t ParseU32(std::string_view s, const char* what) {
   const std::int64_t v = ParseI64(s, what);
   if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(std::string(what) + ": out of range '" + s +
-                                "'");
+    BadField(what, "out of range", s);
   }
   return static_cast<std::uint32_t>(v);
 }
 
-std::uint16_t ParseU16(const std::string& s, const char* what) {
+std::uint16_t ParseU16(std::string_view s, const char* what) {
   const std::int64_t v = ParseI64(s, what);
   if (v < 0 || v > std::numeric_limits<std::uint16_t>::max()) {
-    throw std::invalid_argument(std::string(what) + ": out of range '" + s +
-                                "'");
+    BadField(what, "out of range", s);
   }
   return static_cast<std::uint16_t>(v);
 }
 
-bool ParseBool01(const std::string& s, const char* what) {
+bool ParseBool01(std::string_view s, const char* what) {
   if (s == "1") return true;
   if (s == "0") return false;
-  throw std::invalid_argument(std::string(what) + ": expected 0 or 1, got '" +
-                              s + "'");
+  BadField(what, "expected 0 or 1, got", s);
+}
+
+/// The physical lines of a CSV stream, as std::getline would produce
+/// them (split on '\n'; a final unterminated segment counts only when
+/// non-empty), handed out as views into one reusable block buffer. A
+/// line cut by a block boundary is carried to the front of the buffer
+/// before the next read; a line longer than the buffer grows it. The
+/// buffer is allocated uninitialised, on first use: small daemon
+/// batches must not pay for zero-filling a whole block.
+class LineReader {
+ public:
+  LineReader(std::istream& in, const std::string& source)
+      : in_(in), source_(source) {}
+
+  /// Next line without its '\n'; the view is valid until the next call.
+  /// Returns false at end of input. Throws IngestError when a read
+  /// fails (badbit): a failed read is never mistaken for end of file.
+  /// The bytes of the failed read are lost with it, so the error names
+  /// the first line not yet returned.
+  bool Next(std::string_view& line) {
+    for (;;) {
+      const char* p = buf_.get() + begin_;
+      const std::size_t avail = end_ - begin_;
+      if (const void* nl = avail ? std::memchr(p, '\n', avail) : nullptr) {
+        const std::size_t len = static_cast<std::size_t>(
+            static_cast<const char*>(nl) - p);
+        line = std::string_view(p, len);
+        begin_ += len + 1;
+        ++line_no_;
+        return true;
+      }
+      if (eof_) {
+        if (avail == 0) return false;
+        line = std::string_view(p, avail);
+        begin_ = end_;
+        ++line_no_;
+        return true;
+      }
+      Fill();
+    }
+  }
+
+  /// 1-based physical line number of the line last returned.
+  std::size_t line_no() const { return line_no_; }
+
+ private:
+  void Fill() {
+    const std::size_t carry = end_ - begin_;
+    if (carry == cap_) {
+      const std::size_t cap = cap_ ? 2 * cap_ : kCsvReadBlockBytes;
+      std::unique_ptr<char[]> grown(new char[cap]);
+      if (carry) std::memcpy(grown.get(), buf_.get() + begin_, carry);
+      buf_ = std::move(grown);
+      cap_ = cap;
+    } else if (begin_ > 0 && carry > 0) {
+      std::memmove(buf_.get(), buf_.get() + begin_, carry);
+    }
+    begin_ = 0;
+    end_ = carry;
+    in_.read(buf_.get() + end_, static_cast<std::streamsize>(cap_ - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+    if (in_.bad()) {
+      throw IngestError(source_, line_no_ + 1,
+                        "read error: input stream failed at or after this "
+                        "line (input incomplete)");
+    }
+    if (!in_) eof_ = true;  // short read: end of input
+  }
+
+  std::istream& in_;
+  const std::string& source_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t begin_ = 0;  // first unconsumed byte
+  std::size_t end_ = 0;    // one past the last byte read
+  bool eof_ = false;
+  std::size_t line_no_ = 0;
+};
+
+/// One row's fields, viewing either the line buffer (unquoted rows) or
+/// the slow path's decoded strings.
+using Fields = std::span<const std::string_view>;
+
+/// Splits a quote-free line on ',' without copying. Fills at most
+/// `out.size()` views and returns the full field count, so a row with
+/// too many fields is still reported with its real count. Mirrors
+/// SplitCsvLineChecked: one trailing '\r' is a line terminator.
+std::size_t SplitUnquoted(std::string_view line,
+                          std::span<std::string_view> out) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  std::size_t n = 0;
+  for (;;) {
+    const std::size_t comma = line.find(',');
+    if (n < out.size()) out[n] = line.substr(0, comma);
+    ++n;
+    if (comma == std::string_view::npos) return n;
+    line.remove_prefix(comma + 1);
+  }
 }
 
 /// The shared policy-driven row loop: header, structural checks, field
 /// count, per-row parse with recovery, duplicate dropping, quarantine,
-/// and the bounded error budget. `parse` consumes one well-formed row.
-template <typename ParseRow>
+/// and the bounded error budget. `parse` consumes one well-formed row of
+/// exactly `NFields` fields.
+///
+/// Records are one per physical line (the CERT layout), so a corrupted
+/// byte that happens to be a quote damages one row instead of slurping
+/// the rest of the file into it. Lines without a '"' — nearly all of
+/// them — are split in place; any line with one takes the general
+/// SplitCsvLineChecked path, which decodes quoting and detects an
+/// unterminated quote.
+template <std::size_t NFields, typename ParseRow>
 IngestStats IngestCsv(std::istream& in, const std::string& source,
-                      std::size_t n_fields, const IngestOptions& opts,
-                      ParseRow&& parse) {
-  // Line mode: CERT-layout logs are one record per physical line, so a
-  // corrupted byte that happens to be a quote damages one row instead
-  // of slurping the rest of the file into it.
-  CsvReader reader(in, /*multiline=*/false);
-  std::vector<std::string> row;
+                      const IngestOptions& opts, ParseRow&& parse) {
+  LineReader lines(in, source);
   IngestStats stats;
-  bool saw_header = false;
   std::string prev_raw;
+  std::array<std::string_view, NFields> fields;
+  std::vector<std::string> decoded;  // slow-path field storage
 
-  auto reject = [&](std::size_t line, const std::string& raw,
+  auto reject = [&](std::size_t line, std::string_view raw,
                     const std::string& reason) {
     ++stats.rows_rejected;
     ACOBE_COUNT("logs.rows_rejected", 1);
@@ -110,12 +222,13 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
     }
   };
 
-  while (reader.ReadRow(row)) {
-    if (!saw_header) {
-      saw_header = true;
-      continue;
-    }
-    if (reader.raw_row().empty()) continue;  // trailing/blank line
+  std::string_view raw;
+  if (!lines.Next(raw)) return stats;  // the header line
+  while (lines.Next(raw)) {
+    // Raw row text is the line minus one CRLF '\r' (what quarantine
+    // copies and dedup compares); a second '\r' is dropped by the split.
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+    if (raw.empty()) continue;  // trailing/blank line
     ++stats.rows_read;
     ACOBE_COUNT("logs.rows_read", 1);
     // Duplicate suppression compares against the last *accepted* row,
@@ -123,29 +236,36 @@ IngestStats IngestCsv(std::istream& in, const std::string& source,
     // garbled first transmission, and a rejected row must not shield
     // the retransmission that follows it from dedup.
     if (opts.drop_consecutive_duplicates && !prev_raw.empty() &&
-        reader.raw_row() == prev_raw) {
+        raw == prev_raw) {
       ++stats.rows_deduped;
       ACOBE_COUNT("logs.rows_deduped", 1);
       continue;
     }
-    if (reader.status() != CsvRowStatus::kOk) {
-      reject(reader.row_line(), reader.raw_row(),
-             reader.status() == CsvRowStatus::kUnterminatedQuote
-                 ? "unterminated quoted field (truncated row?)"
-                 : "row exceeds size cap");
-      continue;
+    std::size_t got = 0;
+    if (raw.find('"') == std::string_view::npos) {
+      got = SplitUnquoted(raw, fields);
+    } else {
+      if (SplitCsvLineChecked(raw, decoded) != CsvRowStatus::kOk) {
+        reject(lines.line_no(), raw,
+               "unterminated quoted field (truncated row?)");
+        continue;
+      }
+      got = decoded.size();
+      for (std::size_t i = 0; i < std::min(got, fields.size()); ++i) {
+        fields[i] = decoded[i];
+      }
     }
-    if (row.size() != n_fields) {
-      reject(reader.row_line(), reader.raw_row(),
-             "expected " + std::to_string(n_fields) + " fields, got " +
-                 std::to_string(row.size()));
+    if (got != NFields) {
+      reject(lines.line_no(), raw,
+             "expected " + std::to_string(NFields) + " fields, got " +
+                 std::to_string(got));
       continue;
     }
     try {
-      parse(row);
-      prev_raw = reader.raw_row();
+      parse(Fields(fields));
+      if (opts.drop_consecutive_duplicates) prev_raw.assign(raw);
     } catch (const std::exception& e) {
-      reject(reader.row_line(), reader.raw_row(), e.what());
+      reject(lines.line_no(), raw, e.what());
     }
   }
   return stats;
@@ -167,8 +287,8 @@ IngestStats ReadDeviceCsv(std::istream& in, EntityCatalog& tables,
                           LogSink& sink, const IngestOptions& opts,
                           const std::string& source) {
   ACOBE_SPAN2("logs.read", "device");
-  return IngestCsv(in, source, 4, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<4>(in, source, opts,
+                   [&](Fields row) {
                      DeviceEvent e;
                      e.ts = ParseTs(row[0], opts);
                      e.activity = DeviceActivityFromString(row[3]);
@@ -199,8 +319,8 @@ void WriteFileCsv(const LogStore& store, std::ostream& out) {
 IngestStats ReadFileCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
                         const IngestOptions& opts, const std::string& source) {
   ACOBE_SPAN2("logs.read", "file");
-  return IngestCsv(in, source, 7, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<7>(in, source, opts,
+                   [&](Fields row) {
                      FileEvent e;
                      e.ts = ParseTs(row[0], opts);
                      e.activity = FileActivityFromString(row[3]);
@@ -232,8 +352,8 @@ void WriteHttpCsv(const LogStore& store, std::ostream& out) {
 IngestStats ReadHttpCsv(std::istream& in, EntityCatalog& tables, LogSink& sink,
                         const IngestOptions& opts, const std::string& source) {
   ACOBE_SPAN2("logs.read", "http");
-  return IngestCsv(in, source, 6, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<6>(in, source, opts,
+                   [&](Fields row) {
                      HttpEvent e;
                      e.ts = ParseTs(row[0], opts);
                      e.activity = HttpActivityFromString(row[3]);
@@ -264,8 +384,8 @@ IngestStats ReadLogonCsv(std::istream& in, EntityCatalog& tables,
                          LogSink& sink, const IngestOptions& opts,
                          const std::string& source) {
   ACOBE_SPAN2("logs.read", "logon");
-  return IngestCsv(in, source, 4, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<4>(in, source, opts,
+                   [&](Fields row) {
                      LogonEvent e;
                      e.ts = ParseTs(row[0], opts);
                      e.activity = LogonActivityFromString(row[3]);
@@ -296,8 +416,8 @@ IngestStats ReadEnterpriseCsv(std::istream& in, EntityCatalog& tables,
                               LogSink& sink, const IngestOptions& opts,
                               const std::string& source) {
   ACOBE_SPAN2("logs.read", "enterprise");
-  return IngestCsv(in, source, 5, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<5>(in, source, opts,
+                   [&](Fields row) {
                      EnterpriseEvent e;
                      e.ts = ParseTs(row[0], opts);
                      e.aspect = EnterpriseAspectFromString(row[2]);
@@ -330,8 +450,8 @@ IngestStats ReadProxyCsv(std::istream& in, EntityCatalog& tables,
                          LogSink& sink, const IngestOptions& opts,
                          const std::string& source) {
   ACOBE_SPAN2("logs.read", "proxy");
-  return IngestCsv(in, source, 5, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<5>(in, source, opts,
+                   [&](Fields row) {
                      ProxyEvent e;
                      e.ts = ParseTs(row[0], opts);
                      e.success = ParseBool01(row[3], "success");
@@ -360,14 +480,14 @@ void WriteLdapCsv(const LogStore& store, std::ostream& out) {
 IngestStats ReadLdapCsv(std::istream& in, EntityCatalog& tables,
                         const IngestOptions& opts, const std::string& source) {
   ACOBE_SPAN2("logs.read", "ldap");
-  return IngestCsv(in, source, 4, opts,
-                   [&](const std::vector<std::string>& row) {
+  return IngestCsv<4>(in, source, opts,
+                   [&](Fields row) {
                      LdapRecord r;
-                     r.user_name = row[0];
+                     r.user_name = std::string(row[0]);
                      r.user = tables.users().Intern(row[0]);
-                     r.department = row[1];
-                     r.team = row[2];
-                     r.role = row[3];
+                     r.department = std::string(row[1]);
+                     r.team = std::string(row[2]);
+                     r.role = std::string(row[3]);
                      tables.AddLdap(std::move(r));
                    });
 }

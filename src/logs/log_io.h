@@ -8,7 +8,12 @@
 // bad rows under a bounded error budget, quarantine mode additionally
 // copies every rejected raw row to a sink. Telemetry:
 // logs.rows_read / rows_rejected / rows_quarantined / rows_deduped.
+//
+// Records are one per physical line. The readers pull the stream in
+// blocks of kCsvReadBlockBytes into one buffer and split quote-free
+// lines in place; only lines containing '"' are decoded field by field.
 
+#include <cstddef>
 #include <iosfwd>
 #include <ostream>
 #include <string>
@@ -18,6 +23,10 @@
 #include "logs/log_store.h"
 
 namespace acobe {
+
+/// Bytes the CSV readers request from the stream per read. A row may
+/// straddle blocks; a row longer than a block grows the buffer.
+constexpr std::size_t kCsvReadBlockBytes = std::size_t{1} << 18;
 
 /// Writes one stream as CSV with a header row. Ids are resolved to names
 /// through the store's entity tables.
@@ -37,7 +46,8 @@ void WriteProxyCsv(const LogStore& store, std::ostream& out);
 /// reason"). Fully-empty rows (e.g. a trailing blank line) are skipped
 /// in every policy. Throws IngestError (a std::invalid_argument) on a
 /// malformed row in strict mode, or in any mode once rejected rows
-/// exceed the error budget.
+/// exceed the error budget or the stream reports a read error (badbit:
+/// the input is incomplete, so it is never treated as end of file).
 IngestStats ReadDeviceCsv(std::istream& in, LogStore& store,
                           const IngestOptions& options,
                           const std::string& source = "device.csv");

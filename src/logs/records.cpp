@@ -1,12 +1,15 @@
 #include "logs/records.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace acobe {
 namespace {
 
-[[noreturn]] void BadEnum(const char* what, const std::string& s) {
-  throw std::invalid_argument(std::string(what) + ": unknown value '" + s + "'");
+[[noreturn]] void BadEnum(const char* what, std::string_view s) {
+  std::string msg(what);
+  msg.append(": unknown value '").append(s).append("'");
+  throw std::invalid_argument(msg);
 }
 
 }  // namespace
@@ -77,19 +80,19 @@ const char* ToString(EnterpriseAspect a) {
   return "?";
 }
 
-LogonActivity LogonActivityFromString(const std::string& s) {
+LogonActivity LogonActivityFromString(std::string_view s) {
   if (s == "logon") return LogonActivity::kLogon;
   if (s == "logoff") return LogonActivity::kLogoff;
   BadEnum("LogonActivity", s);
 }
 
-DeviceActivity DeviceActivityFromString(const std::string& s) {
+DeviceActivity DeviceActivityFromString(std::string_view s) {
   if (s == "connect") return DeviceActivity::kConnect;
   if (s == "disconnect") return DeviceActivity::kDisconnect;
   BadEnum("DeviceActivity", s);
 }
 
-FileActivity FileActivityFromString(const std::string& s) {
+FileActivity FileActivityFromString(std::string_view s) {
   if (s == "open") return FileActivity::kOpen;
   if (s == "write") return FileActivity::kWrite;
   if (s == "copy") return FileActivity::kCopy;
@@ -97,20 +100,20 @@ FileActivity FileActivityFromString(const std::string& s) {
   BadEnum("FileActivity", s);
 }
 
-FileLocation FileLocationFromString(const std::string& s) {
+FileLocation FileLocationFromString(std::string_view s) {
   if (s == "local") return FileLocation::kLocal;
   if (s == "remote") return FileLocation::kRemote;
   BadEnum("FileLocation", s);
 }
 
-HttpActivity HttpActivityFromString(const std::string& s) {
+HttpActivity HttpActivityFromString(std::string_view s) {
   if (s == "visit") return HttpActivity::kVisit;
   if (s == "download") return HttpActivity::kDownload;
   if (s == "upload") return HttpActivity::kUpload;
   BadEnum("HttpActivity", s);
 }
 
-HttpFileType HttpFileTypeFromString(const std::string& s) {
+HttpFileType HttpFileTypeFromString(std::string_view s) {
   if (s == "none") return HttpFileType::kNone;
   if (s == "doc") return HttpFileType::kDoc;
   if (s == "exe") return HttpFileType::kExe;
@@ -121,7 +124,7 @@ HttpFileType HttpFileTypeFromString(const std::string& s) {
   BadEnum("HttpFileType", s);
 }
 
-EnterpriseAspect EnterpriseAspectFromString(const std::string& s) {
+EnterpriseAspect EnterpriseAspectFromString(std::string_view s) {
   if (s == "file") return EnterpriseAspect::kFile;
   if (s == "command") return EnterpriseAspect::kCommand;
   if (s == "config") return EnterpriseAspect::kConfig;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/timeframe.h"
 
@@ -143,12 +144,12 @@ const char* ToString(HttpActivity a);
 const char* ToString(HttpFileType t);
 const char* ToString(EnterpriseAspect a);
 
-LogonActivity LogonActivityFromString(const std::string& s);
-DeviceActivity DeviceActivityFromString(const std::string& s);
-FileActivity FileActivityFromString(const std::string& s);
-FileLocation FileLocationFromString(const std::string& s);
-HttpActivity HttpActivityFromString(const std::string& s);
-HttpFileType HttpFileTypeFromString(const std::string& s);
-EnterpriseAspect EnterpriseAspectFromString(const std::string& s);
+LogonActivity LogonActivityFromString(std::string_view s);
+DeviceActivity DeviceActivityFromString(std::string_view s);
+FileActivity FileActivityFromString(std::string_view s);
+FileLocation FileLocationFromString(std::string_view s);
+HttpActivity HttpActivityFromString(std::string_view s);
+HttpFileType HttpFileTypeFromString(std::string_view s);
+EnterpriseAspect EnterpriseAspectFromString(std::string_view s);
 
 }  // namespace acobe

@@ -248,19 +248,20 @@ TEST(CsvTest, SplitQuoted) {
   EXPECT_EQ(fields[2], "x");
 }
 
-TEST(CsvTest, WriterReaderRoundTrip) {
+TEST(CsvTest, WriterSplitRoundTrip) {
   std::stringstream ss;
   CsvWriter writer(ss);
   writer.WriteRow({"plain", "with,comma", "with\"quote", ""});
-  CsvReader reader(ss);
+  std::string line;
+  ASSERT_TRUE(std::getline(ss, line));
   std::vector<std::string> row;
-  ASSERT_TRUE(reader.ReadRow(row));
+  EXPECT_EQ(SplitCsvLineChecked(line, row), CsvRowStatus::kOk);
   ASSERT_EQ(row.size(), 4u);
   EXPECT_EQ(row[0], "plain");
   EXPECT_EQ(row[1], "with,comma");
   EXPECT_EQ(row[2], "with\"quote");
   EXPECT_EQ(row[3], "");
-  EXPECT_FALSE(reader.ReadRow(row));
+  EXPECT_FALSE(std::getline(ss, line));
 }
 
 // Property sweep: escape/parse round-trips arbitrary content.
@@ -318,47 +319,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SplitCase>& info) {
       return info.param.name;
     });
-
-TEST(CsvTest, ReaderMultilineQuotedField) {
-  std::stringstream ss("\"line1\nline2\",x\nnext,row\n");
-  CsvReader reader(ss);  // multiline (default)
-  std::vector<std::string> row;
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(reader.status(), CsvRowStatus::kOk);
-  ASSERT_EQ(row.size(), 2u);
-  EXPECT_EQ(row[0], "line1\nline2");
-  EXPECT_EQ(reader.row_line(), 1u);
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(row[0], "next");
-  EXPECT_EQ(reader.row_line(), 3u);
-}
-
-TEST(CsvTest, ReaderLineModeResyncsAfterStrayQuote) {
-  // One corrupted quote must damage one row, not swallow the rest of
-  // the file (which is what multiline accumulation would do).
-  std::stringstream ss("a,\"broken\nok1,x\nok2,y\n");
-  CsvReader reader(ss, /*multiline=*/false);
-  std::vector<std::string> row;
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(reader.status(), CsvRowStatus::kUnterminatedQuote);
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(reader.status(), CsvRowStatus::kOk);
-  EXPECT_EQ(row[0], "ok1");
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(row[0], "ok2");
-  EXPECT_FALSE(reader.ReadRow(row));
-}
-
-TEST(CsvTest, ReaderCrlfAcrossRows) {
-  std::stringstream ss("h1,h2\r\nv1,v2\r\n");
-  CsvReader reader(ss);
-  std::vector<std::string> row;
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"h1", "h2"}));
-  ASSERT_TRUE(reader.ReadRow(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"v1", "v2"}));
-  EXPECT_FALSE(reader.ReadRow(row));
-}
 
 // --- Crc32 ------------------------------------------------------------------
 

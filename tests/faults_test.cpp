@@ -1,6 +1,7 @@
 // Robustness tests: the deterministic fault injector, fuzz-style
 // round-trips of corrupted CSVs through every log reader, redelivery
-// recovery (the property the end-to-end smoke leans on), ensemble
+// recovery (the property the end-to-end smoke leans on), the block CSV
+// reader against a line-at-a-time reference implementation, ensemble
 // checkpoint/resume crash-safety, and graceful degradation when an
 // aspect's training diverges irrecoverably.
 
@@ -15,9 +16,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "behavior/normalized_day.h"
+#include "common/csv.h"
 #include "common/faults.h"
 #include "common/rng.h"
 #include "core/ensemble.h"
@@ -263,6 +266,291 @@ TEST(FuzzRoundTripTest, RedeliveryRecoversCleanStreamExactly) {
     SCOPED_TRACE(stream.name);
     EXPECT_GT(stats.rows_rejected + stats.rows_deduped, 0u);
     EXPECT_EQ(Render(stream, fresh), clean);
+  }
+}
+
+// --- Differential: block reader vs the line-mode reference ---------------
+
+/// The line-at-a-time reader the block reader replaced, kept as the
+/// reference: std::getline per physical line, one trailing '\r'
+/// stripped, SplitCsvLineChecked, then the shared policy loop (header,
+/// blank-line skip, dedup against the last accepted row, structural
+/// check, field count, parse, reject/quarantine/budget). Parsing the
+/// fields of a well-formed row is delegated to `stream.read` on a
+/// one-row CSV re-rendered by CsvWriter into the same store, so this
+/// pins the framing, splitting and policy order of the new reader
+/// against an independent implementation; the per-field parsers are
+/// the same code on both sides.
+IngestStats ReferenceIngest(const Stream& stream, const std::string& text,
+                            std::size_t n_fields, LogStore& store,
+                            const IngestOptions& opts) {
+  const std::string source = stream.name;
+  std::istringstream in(text);
+  IngestStats stats;
+  std::string raw, prev_raw;
+  std::vector<std::string> row;
+  std::size_t line = 0;
+
+  auto reject = [&](const std::string& reason) {
+    ++stats.rows_rejected;
+    if (stats.first_error.empty()) {
+      stats.first_error = source + ":" + std::to_string(line) + ": " + reason;
+    }
+    if (opts.policy == IngestPolicy::kStrict) {
+      throw IngestError(source, line, reason);
+    }
+    if (opts.policy == IngestPolicy::kQuarantine && opts.quarantine) {
+      (*opts.quarantine) << raw << '\n';
+      ++stats.rows_quarantined;
+    }
+    if (stats.rows_read >= opts.budget_min_rows &&
+        static_cast<double>(stats.rows_rejected) >
+            opts.error_budget * static_cast<double>(stats.rows_read)) {
+      throw IngestError(
+          source, line,
+          "error budget exceeded: " + std::to_string(stats.rows_rejected) +
+              " of " + std::to_string(stats.rows_read) +
+              " rows rejected (budget " + std::to_string(opts.error_budget) +
+              ")");
+    }
+  };
+
+  while (std::getline(in, raw)) {
+    if (++line == 1) continue;  // header
+    if (!raw.empty() && raw.back() == '\r') raw.pop_back();
+    if (raw.empty()) continue;
+    ++stats.rows_read;
+    if (opts.drop_consecutive_duplicates && !prev_raw.empty() &&
+        raw == prev_raw) {
+      ++stats.rows_deduped;
+      continue;
+    }
+    if (SplitCsvLineChecked(raw, row) != CsvRowStatus::kOk) {
+      reject("unterminated quoted field (truncated row?)");
+      continue;
+    }
+    if (row.size() != n_fields) {
+      reject("expected " + std::to_string(n_fields) + " fields, got " +
+             std::to_string(row.size()));
+      continue;
+    }
+    std::ostringstream one;
+    CsvWriter writer(one);
+    writer.WriteRow(std::vector<std::string>(n_fields, "h"));
+    writer.WriteRow(row);
+    std::istringstream one_in(one.str());
+    IngestOptions strict;
+    strict.ts_min = opts.ts_min;
+    strict.ts_max = opts.ts_max;
+    try {
+      stream.read(one_in, store, strict);
+      prev_raw = raw;
+    } catch (const IngestError& e) {
+      const std::string prefix = source + ":2: ";
+      reject(std::string(e.what()).substr(prefix.size()));
+    }
+  }
+  return stats;
+}
+
+/// Everything an ingest leaves behind: the stats (or the error that
+/// ended it), the accepted rows rendered back to CSV, every entity
+/// table in id order, and the quarantine bytes.
+struct IngestOutcome {
+  IngestStats stats;
+  std::string error;
+  std::string accepted;
+  std::string quarantine;
+};
+
+std::string DumpTables(const LogStore& store) {
+  std::string out;
+  for (const EntityTable* t : {&store.users(), &store.pcs(), &store.files(),
+                               &store.domains(), &store.objects()}) {
+    for (std::uint32_t id = 0; id < t->size(); ++id) {
+      out += t->NameOf(id) + '\n';
+    }
+    out += "--\n";
+  }
+  return out;
+}
+
+template <typename Read>
+IngestOutcome RunIngest(const Stream& stream, IngestOptions opts,
+                        Read&& read) {
+  IngestOutcome o;
+  LogStore store;
+  std::ostringstream quarantine;
+  opts.quarantine = &quarantine;
+  try {
+    o.stats = read(store, opts);
+  } catch (const IngestError& e) {
+    o.error = e.what();
+  }
+  o.accepted = Render(stream, store) + DumpTables(store);
+  o.quarantine = quarantine.str();
+  return o;
+}
+
+std::vector<std::pair<const char*, IngestOptions>> DiffPolicies() {
+  IngestOptions strict;
+  IngestOptions permissive = PermissiveOptions();
+  IngestOptions quarantine;
+  quarantine.policy = IngestPolicy::kQuarantine;
+  quarantine.error_budget = 0.3;
+  quarantine.budget_min_rows = 20;
+  quarantine.drop_consecutive_duplicates = true;
+  quarantine.ts_max = 101500;  // a plausibility window cutting the tail
+  return {{"strict", strict},
+          {"permissive", permissive},
+          {"quarantine", quarantine}};
+}
+
+/// Ingests `text` with the reader under test and with the reference
+/// under every policy and demands identical outcomes.
+void ExpectMatchesReference(const Stream& stream, const std::string& text,
+                            std::size_t n_fields) {
+  for (const auto& [policy, opts] : DiffPolicies()) {
+    SCOPED_TRACE(policy);
+    const IngestOutcome got =
+        RunIngest(stream, opts, [&](LogStore& s, const IngestOptions& o) {
+          std::istringstream in(text);
+          return stream.read(in, s, o);
+        });
+    const IngestOutcome want =
+        RunIngest(stream, opts, [&](LogStore& s, const IngestOptions& o) {
+          return ReferenceIngest(stream, text, n_fields, s, o);
+        });
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.stats.rows_read, want.stats.rows_read);
+    EXPECT_EQ(got.stats.rows_rejected, want.stats.rows_rejected);
+    EXPECT_EQ(got.stats.rows_quarantined, want.stats.rows_quarantined);
+    EXPECT_EQ(got.stats.rows_deduped, want.stats.rows_deduped);
+    EXPECT_EQ(got.stats.first_error, want.stats.first_error);
+    EXPECT_EQ(got.accepted, want.accepted);
+    EXPECT_EQ(got.quarantine, want.quarantine);
+  }
+}
+
+std::size_t HeaderFields(const std::string& clean) {
+  return SplitCsvLine(clean.substr(0, clean.find('\n'))).size();
+}
+
+TEST(BlockReaderDiffTest, CorruptedInputsMatchLineModeReference) {
+  const LogStore store = MakeRichStore();
+  for (const Stream& stream : AllStreams()) {
+    const std::string clean = Render(stream, store);
+    for (const double rate : {0.05, 0.35, 0.9}) {
+      for (const bool truncate_file : {false, true}) {
+        FaultInjectorConfig cfg;
+        cfg.rate = rate;
+        cfg.seed = 17;
+        cfg.truncate_file = truncate_file;
+        SCOPED_TRACE(std::string(stream.name) + " rate=" +
+                     std::to_string(rate) +
+                     (truncate_file ? " truncated" : ""));
+        ExpectMatchesReference(stream,
+                               FaultInjector(cfg).Corrupted(clean, 3),
+                               HeaderFields(clean));
+      }
+    }
+  }
+}
+
+TEST(BlockReaderDiffTest, RowsStraddlingBlocksMatchLineModeReference) {
+  const LogStore store = MakeRichStore();
+  for (const Stream& stream : AllStreams()) {
+    const std::string clean = Render(stream, store);
+    const std::size_t header_end = clean.find('\n') + 1;
+    const std::string rows = clean.substr(header_end);
+    // Well past two block boundaries, which land mid-row wherever the
+    // row lengths put them.
+    std::string big = clean.substr(0, header_end);
+    while (big.size() < 2 * kCsvReadBlockBytes + kCsvReadBlockBytes / 2) {
+      big += rows;
+    }
+    SCOPED_TRACE(stream.name);
+    ExpectMatchesReference(stream, big, HeaderFields(clean));
+    // A row longer than a whole block, which must grow the buffer.
+    std::string huge = clean + "1," +
+                       std::string(kCsvReadBlockBytes + 999, 'x') + ",y\n" +
+                       rows;
+    ExpectMatchesReference(stream, huge, HeaderFields(clean));
+  }
+}
+
+/// Quotes every field of a data line, whether or not it needs it.
+std::string QuoteAll(const std::string& line) {
+  std::string out;
+  for (const std::string& f : SplitCsvLine(line)) {
+    if (!out.empty()) out += ',';
+    out += '"';
+    for (const char c : f) {
+      if (c == '"') out += '"';
+      out += c;
+    }
+    out += '"';
+  }
+  return out;
+}
+
+std::string ReplaceAll(std::string s, const std::string& from,
+                       const std::string& to) {
+  for (std::size_t at = 0; (at = s.find(from, at)) != std::string::npos;
+       at += to.size()) {
+    s.replace(at, from.size(), to);
+  }
+  return s;
+}
+
+TEST(BlockReaderDiffTest, EdgeInputsMatchLineModeReference) {
+  const LogStore store = MakeRichStore();
+  for (const Stream& stream : AllStreams()) {
+    const std::string clean = Render(stream, store);
+    const std::string header = clean.substr(0, clean.find('\n'));
+    std::vector<std::string> lines;
+    {
+      std::istringstream in(clean.substr(header.size() + 1));
+      for (std::string l; std::getline(in, l);) lines.push_back(l);
+    }
+    auto join = [&](auto&& each) {
+      std::string out = header + '\n';
+      for (std::size_t i = 0; i < lines.size(); ++i) out += each(i);
+      return out;
+    };
+    const std::vector<std::pair<const char*, std::string>> inputs = {
+        {"no_trailing_newline", clean.substr(0, clean.size() - 1)},
+        {"crlf", ReplaceAll(clean, "\n", "\r\n")},
+        {"cr_cr_lf", ReplaceAll(clean, "\n", "\r\r\n")},
+        {"blank_lines", join([&](std::size_t i) {
+           return (i % 7 == 0 ? "\n\r\n" : "") + lines[i] + '\n';
+         }) + "\n\n"},
+        {"blank_header", "\n" + clean},
+        {"empty", ""},
+        {"header_only", header + '\n'},
+        {"header_only_no_newline", header},
+        {"header_only_crlf", header + "\r\n"},
+        {"quoted_fields", join([&](std::size_t i) {
+           return (i % 2 ? QuoteAll(lines[i]) : lines[i]) + '\n';
+         })},
+        {"quoted_comma_in_ts", join([&](std::size_t i) {
+           return (i == 3 ? "\"1,5\"" + lines[i].substr(lines[i].find(','))
+                          : lines[i]) +
+                  '\n';
+         })},
+        {"stray_quote_resyncs", join([&](std::size_t i) {
+           return (i == 2 ? std::string("a,\"broken\n") : "") + lines[i] +
+                  '\n';
+         })},
+        {"consecutive_duplicates", join([&](std::size_t i) {
+           return lines[i] + '\n' + (i % 3 == 0 ? lines[i] + "\r\n" : "");
+         })},
+        {"unterminated_quote_at_eof", clean + "100000,\"user0,PC-0"},
+    };
+    for (const auto& [name, text] : inputs) {
+      SCOPED_TRACE(std::string(stream.name) + " " + name);
+      ExpectMatchesReference(stream, text, HeaderFields(clean));
+    }
   }
 }
 

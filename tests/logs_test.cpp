@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
+#include <string>
+#include <string_view>
 
 #include "logs/entity_table.h"
 #include "logs/log_io.h"
@@ -28,6 +32,60 @@ TEST(EntityTableTest, LookupMissingReturnsInvalid) {
   EXPECT_EQ(t.Lookup("ghost"), kInvalidId);
   t.Intern("real");
   EXPECT_NE(t.Lookup("real"), kInvalidId);
+}
+
+TEST(EntityTableTest, IdsStayDenseAndFirstSeenAcrossGrowth) {
+  EntityTable t;
+  constexpr std::uint32_t kNames = 200000;
+  auto name = [](std::uint32_t i) { return "user-" + std::to_string(i); };
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(t.Intern(name(i)), i);
+    // Re-interning an earlier name never allocates a new id.
+    ASSERT_EQ(t.Intern(name(i / 2)), i / 2);
+  }
+  ASSERT_EQ(t.size(), kNames);
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(t.Lookup(name(i)), i);
+    ASSERT_EQ(t.NameOf(i), name(i));
+  }
+}
+
+TEST(EntityTableTest, InternsViewIntoLargerUnterminatedBuffer) {
+  const char buf[] = {'a', 'l', 'i', 'c', 'e', 'b', 'o', 'b'};  // no NUL
+  EntityTable t;
+  const auto alice = t.Intern(std::string_view(buf, 5));
+  const auto bob = t.Intern(std::string_view(buf + 5, 3));
+  const auto al = t.Intern(std::string_view(buf, 2));
+  EXPECT_EQ(t.NameOf(alice), "alice");
+  EXPECT_EQ(t.NameOf(bob), "bob");
+  EXPECT_EQ(t.NameOf(al), "al");
+  EXPECT_EQ(t.Lookup("alice"), alice);
+  EXPECT_EQ(t.Lookup(std::string_view(buf, 3)), kInvalidId);
+  // A view into the table's own storage is copied before it can move.
+  const auto ali = t.Intern(std::string_view(t.NameOf(alice)).substr(0, 3));
+  EXPECT_EQ(t.NameOf(ali), "ali");
+}
+
+TEST(EntityTableTest, EmptyNameIsAName) {
+  EntityTable t;
+  EXPECT_EQ(t.Lookup(""), kInvalidId);
+  const auto x = t.Intern("x");
+  const auto empty = t.Intern("");
+  EXPECT_NE(empty, x);
+  EXPECT_EQ(t.Intern(std::string_view()), empty);
+  EXPECT_EQ(t.Lookup(""), empty);
+  EXPECT_EQ(t.NameOf(empty), "");
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST(EntityTableTest, LookupAbsentAfterGrowthReturnsInvalid) {
+  EntityTable t;
+  for (int i = 0; i < 5000; ++i) t.Intern("pc-" + std::to_string(i));
+  EXPECT_EQ(t.Lookup("pc-5000"), kInvalidId);
+  EXPECT_EQ(t.Lookup("pc-"), kInvalidId);
+  EXPECT_EQ(t.Lookup(""), kInvalidId);
+  EXPECT_EQ(t.Lookup("pc-4999"), 4999u);
+  EXPECT_EQ(t.size(), 5000u);
 }
 
 TEST(EntityTableTest, NameOfBadIdThrows) {
@@ -288,6 +346,61 @@ TEST(IngestPolicyTest, StrayQuoteDamagesOneRowOnly) {
   EXPECT_EQ(stats.rows_read, 3u);
   EXPECT_EQ(stats.rows_rejected, 1u);
   EXPECT_EQ(store.devices().size(), 2u);
+}
+
+/// Serves `data`, then fails the way a dying disk or a broken pipe
+/// does: underflow throws, which the istream turns into badbit.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ protected:
+  int_type underflow() override {
+    throw std::runtime_error("device I/O error");
+  }
+
+ private:
+  std::string data_;
+};
+
+TEST(IngestPolicyTest, ReadErrorIsNotEndOfFile) {
+  // More than one read block of whole rows, then the stream fails
+  // inside a row.
+  std::string served = "ts,user,pc,activity\n";
+  std::size_t lines = 1;
+  while (served.size() < kCsvReadBlockBytes + kCsvReadBlockBytes / 2) {
+    served += "100,alice,pc1,connect\n";
+    ++lines;
+  }
+  served += "300,car";
+  for (const IngestPolicy policy :
+       {IngestPolicy::kStrict, IngestPolicy::kPermissive,
+        IngestPolicy::kQuarantine}) {
+    FailingBuf buf(served);
+    std::istream in(&buf);
+    std::ostringstream quarantine;
+    LogStore store;
+    IngestOptions opts;
+    opts.policy = policy;
+    opts.error_budget = 1.0;
+    opts.quarantine = &quarantine;
+    SCOPED_TRACE(ToString(policy));
+    try {
+      ReadDeviceCsv(in, store, opts, "device.csv");
+      FAIL() << "a failed read was taken for end of file";
+    } catch (const IngestError& e) {
+      EXPECT_EQ(e.file(), "device.csv");
+      EXPECT_NE(std::string(e.what()).find("read error"), std::string::npos)
+          << e.what();
+      // Every row before the named line parsed; the rest never did.
+      EXPECT_GT(store.devices().size(), 0u);
+      EXPECT_EQ(e.line(), store.devices().size() + 2);  // header is line 1
+      EXPECT_LE(e.line(), lines + 1);
+    }
+    EXPECT_EQ(quarantine.str(), "");
+  }
 }
 
 TEST(LogIoTest, EnterpriseAndProxyCsvRoundTrips) {
