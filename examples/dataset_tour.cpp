@@ -53,7 +53,7 @@ int main() {
   LogStore reloaded;
   {
     std::stringstream in(device_csv.str());
-    ReadDeviceCsv(in, reloaded);
+    ReadDeviceCsv(in, reloaded, IngestOptions{});
   }
   std::printf("device.csv round-trip: %zu -> %zu events (%.1f KiB)\n",
               store.devices().size(), reloaded.devices().size(),

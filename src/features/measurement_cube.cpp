@@ -22,7 +22,6 @@ int MeasurementCube::RegisterUser(UserId user) {
     user_ids_.push_back(user);
     EnsureCapacity(static_cast<int>(user_ids_.size()));
     ACOBE_COUNT("features.users_registered", 1);
-    ACOBE_GAUGE_MAX("features.users", user_ids_.size());
   }
   return it->second;
 }

@@ -549,26 +549,4 @@ void CsvEventSink::Consume(const HttpEvent& e) {
             tables_.domains().NameOf(e.domain), ToString(e.filetype)});
 }
 
-void ReadDeviceCsv(std::istream& in, LogStore& store) {
-  ReadDeviceCsv(in, store, IngestOptions{});
-}
-void ReadFileCsv(std::istream& in, LogStore& store) {
-  ReadFileCsv(in, store, IngestOptions{});
-}
-void ReadHttpCsv(std::istream& in, LogStore& store) {
-  ReadHttpCsv(in, store, IngestOptions{});
-}
-void ReadLogonCsv(std::istream& in, LogStore& store) {
-  ReadLogonCsv(in, store, IngestOptions{});
-}
-void ReadLdapCsv(std::istream& in, LogStore& store) {
-  ReadLdapCsv(in, store, IngestOptions{});
-}
-void ReadEnterpriseCsv(std::istream& in, LogStore& store) {
-  ReadEnterpriseCsv(in, store, IngestOptions{});
-}
-void ReadProxyCsv(std::istream& in, LogStore& store) {
-  ReadProxyCsv(in, store, IngestOptions{});
-}
-
 }  // namespace acobe

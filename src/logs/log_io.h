@@ -70,16 +70,6 @@ IngestStats ReadProxyCsv(std::istream& in, LogStore& store,
                          const IngestOptions& options,
                          const std::string& source = "proxy.csv");
 
-/// Strict-mode conveniences (legacy signatures). Throw
-/// std::invalid_argument on the first malformed row.
-void ReadDeviceCsv(std::istream& in, LogStore& store);
-void ReadFileCsv(std::istream& in, LogStore& store);
-void ReadHttpCsv(std::istream& in, LogStore& store);
-void ReadLogonCsv(std::istream& in, LogStore& store);
-void ReadLdapCsv(std::istream& in, LogStore& store);
-void ReadEnterpriseCsv(std::istream& in, LogStore& store);
-void ReadProxyCsv(std::istream& in, LogStore& store);
-
 // --- streaming (out-of-core) ingestion --------------------------------------
 //
 // The same readers, decoupled from LogStore: names intern into `tables`

@@ -23,8 +23,6 @@ enum PackedType : std::uint8_t {
   kPackedProxy = 6,
 };
 
-std::int64_t DayOf(Timestamp ts) { return ts / kSecondsPerDay; }
-
 /// Read cursor over one day-sorted run, with a bounded refill buffer.
 class RunCursor {
  public:
@@ -39,7 +37,7 @@ class RunCursor {
 
   bool empty() const { return pos_ >= buffer_.size() && remaining_ == 0; }
   const PackedEvent& head() const { return buffer_[pos_]; }
-  std::int64_t head_day() const { return DayOf(buffer_[pos_].ts); }
+  std::int64_t head_day() const { return DayNumberOf(buffer_[pos_].ts); }
 
   void Advance() {
     if (++pos_ >= buffer_.size()) Refill();
@@ -73,6 +71,13 @@ class RunCursor {
 
 }  // namespace
 
+void SortByDay(std::vector<PackedEvent>& events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const PackedEvent& a, const PackedEvent& b) {
+                     return DayNumberOf(a.ts) < DayNumberOf(b.ts);
+                   });
+}
+
 ShardSpooler::ShardSpooler(std::string dir, int shards,
                            std::size_t buffer_bytes)
     : dir_(std::move(dir)),
@@ -81,20 +86,11 @@ ShardSpooler::ShardSpooler(std::string dir, int shards,
   if (shards <= 0) {
     throw std::invalid_argument("ShardSpooler: shards must be positive");
   }
-  std::filesystem::create_directories(dir_);
-  files_.resize(static_cast<std::size_t>(shards));
+  shards_.resize(static_cast<std::size_t>(shards));
   buffer_events_per_shard_ = std::max<std::size_t>(
       buffer_bytes / sizeof(PackedEvent) / static_cast<std::size_t>(shards),
       1024);
-  for (int s = 0; s < shards; ++s) {
-    Shard& shard = files_[static_cast<std::size_t>(s)];
-    shard.path = dir_ + "/shard-" + std::to_string(s) + ".spool";
-    shard.out.open(shard.path, std::ios::binary | std::ios::trunc);
-    if (!shard.out) {
-      throw std::runtime_error("ShardSpooler: cannot create " + shard.path);
-    }
-    shard.buffer.reserve(buffer_events_per_shard_);
-  }
+  for (Shard& shard : shards_) shard.buffer.reserve(buffer_events_per_shard_);
 }
 
 ShardSpooler::~ShardSpooler() { Remove(); }
@@ -118,20 +114,25 @@ void ShardSpooler::Offer(const PackedEvent& p) {
     ++events_dropped_;
     return;
   }
-  Shard& dst = files_[static_cast<std::size_t>(shard)];
+  Shard& dst = shards_[static_cast<std::size_t>(shard)];
   dst.buffer.push_back(p);
   ++events_spooled_;
-  if (dst.buffer.size() >= buffer_events_per_shard_) Spill(dst);
+  if (dst.buffer.size() >= buffer_events_per_shard_) Spill(shard);
 }
 
-void ShardSpooler::Spill(Shard& shard) {
+void ShardSpooler::Spill(int index) {
+  Shard& shard = shards_[static_cast<std::size_t>(index)];
   if (shard.buffer.empty()) return;
   ACOBE_SPAN("spool.spill");
-  // Stable by day: within a run, same-day events keep arrival order.
-  std::stable_sort(shard.buffer.begin(), shard.buffer.end(),
-                   [](const PackedEvent& a, const PackedEvent& b) {
-                     return DayOf(a.ts) < DayOf(b.ts);
-                   });
+  if (shard.path.empty()) {
+    if (std::filesystem::create_directories(dir_)) created_dir_ = true;
+    shard.path = dir_ + "/shard-" + std::to_string(index) + ".spool";
+    shard.out.open(shard.path, std::ios::binary | std::ios::trunc);
+    if (!shard.out) {
+      throw std::runtime_error("ShardSpooler: cannot create " + shard.path);
+    }
+  }
+  SortByDay(shard.buffer);
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(shard.buffer.size()) * sizeof(PackedEvent);
   shard.out.write(reinterpret_cast<const char*>(shard.buffer.data()),
@@ -147,9 +148,14 @@ void ShardSpooler::Spill(Shard& shard) {
 }
 
 void ShardSpooler::Finish() {
-  for (Shard& shard : files_) {
-    Spill(shard);
-    shard.out.flush();
+  for (int s = 0; s < shards(); ++s) {
+    Shard& shard = shards_[static_cast<std::size_t>(s)];
+    if (shard.runs.empty()) {  // never spilled: the buffer is the shard
+      ACOBE_SPAN("spool.sort");
+      SortByDay(shard.buffer);
+      continue;
+    }
+    Spill(s);
     shard.out.close();
   }
   finished_ = true;
@@ -158,16 +164,18 @@ void ShardSpooler::Finish() {
 }
 
 void ShardSpooler::Remove() {
-  for (Shard& shard : files_) {
+  for (Shard& shard : shards_) {
+    if (shard.path.empty()) continue;
     if (shard.out.is_open()) shard.out.close();
     std::error_code ec;
     std::filesystem::remove(shard.path, ec);
   }
-  // remove() deletes a directory only when empty, which is the right
-  // call here: take the spool dir with us if we created the only
-  // contents, leave a user-provided dir with other files alone.
-  std::error_code ec;
-  std::filesystem::remove(dir_, ec);
+  // remove() deletes a directory only when empty: take a spool dir we
+  // created with us, but never one the user's own files still occupy.
+  if (created_dir_) {
+    std::error_code ec;
+    std::filesystem::remove(dir_, ec);
+  }
 }
 
 void ShardSpooler::Replay(int shard_idx, LogSink& sink) const {
@@ -177,9 +185,13 @@ void ShardSpooler::Replay(int shard_idx, LogSink& sink) const {
   if (shard_idx < 0 || shard_idx >= shards()) {
     throw std::out_of_range("ShardSpooler::Replay: bad shard");
   }
-  const Shard& shard = files_[static_cast<std::size_t>(shard_idx)];
-  if (shard.runs.empty()) return;
+  const Shard& shard = shards_[static_cast<std::size_t>(shard_idx)];
   ACOBE_SPAN("spool.replay");
+  if (shard.runs.empty()) {  // never spilled: replay from RAM
+    for (const PackedEvent& p : shard.buffer) DeliverPacked(p, sink);
+    ACOBE_COUNT("spool.events_replayed", shard.buffer.size());
+    return;
+  }
 
   std::ifstream in(shard.path, std::ios::binary);
   if (!in) {

@@ -25,6 +25,7 @@
 #include "features/shard_extract.h"
 #include "logs/entity_catalog.h"
 #include "logs/log_io.h"
+#include "logs/spool.h"
 
 namespace acobe {
 namespace fs = std::filesystem;
@@ -37,13 +38,6 @@ constexpr const char* kReadyMarker = "READY";
 // within-day event order fed to the extractors).
 constexpr const char* kBatchCsvs[] = {"device.csv", "file.csv", "http.csv",
                                       "logon.csv"};
-
-std::int64_t DayOfTs(std::int64_t ts) {
-  // Floor division: pre-epoch timestamps land on the correct day.
-  std::int64_t d = ts / kSecondsPerDay;
-  if (ts % kSecondsPerDay < 0) --d;
-  return d;
-}
 
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -194,7 +188,7 @@ class ShardRouter : public LogSink {
       return;
     }
     const PackedEvent p = PackEvent(e);
-    const std::int64_t day = DayOfTs(p.ts);
+    const std::int64_t day = DayNumberOf(p.ts);
     day_lo_ = std::min(day_lo_, day);
     day_hi_ = std::max(day_hi_, day);
     if (queues_[static_cast<std::size_t>(shard)]->Push(p)) {
@@ -883,7 +877,7 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
     shard.window.erase(
         std::remove_if(shard.window.begin(), shard.window.end(),
                        [&](const PackedEvent& e) {
-                         return DayOfTs(e.ts) < task.win_start;
+                         return DayNumberOf(e.ts) < task.win_start;
                        }),
         shard.window.end());
   }
@@ -912,10 +906,7 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
   for (;;) {
     try {
       computed.clear();
-      std::stable_sort(shard.window.begin(), shard.window.end(),
-                       [](const PackedEvent& a, const PackedEvent& b) {
-                         return DayOfTs(a.ts) < DayOfTs(b.ts);
-                       });
+      SortByDay(shard.window);
       DepartmentDemux demux(Date::FromDayNumber(task.win_start), win_len);
       for (auto& rt : shard.depts) {
         demux.AddDepartment(rt.dept->name, rt.dept->members);

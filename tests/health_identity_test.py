@@ -21,7 +21,12 @@ with --health-out/--prom-out, once without — and asserts:
     usage error (exit 2),
   - stdout and the --metrics-out series are byte-identical at
     --threads=1 and --threads=4, in memory and with --stream --shards=2,
-    on three departments that train concurrently.
+    on three departments that train concurrently, and both modes report
+    the same features.users gauge,
+  - a run whose events fit the spool buffer touches no disk: default
+    runs leave no DIR/.acobe-spool behind, an under-cap --stream run
+    leaves no --spool-dir behind, and one whose --spool-dir could not
+    even be created (its parent is a regular file) still succeeds.
 
 Usage:
     health_identity_test.py --gen GEN --detect DETECT --top TOP \
@@ -129,7 +134,14 @@ def main():
         # The streaming path exercises the stage-re-entry logic (the
         # shard loop alternates replay <-> detect); check it too.
         stream_health = os.path.join(tmp, "stream.health.jsonl")
-        stream_plain = detect("stream_plain", ["--stream", "--shards=3"])
+        # The parent of this spool dir is a regular file, so creating
+        # it would fail: the run passes only if it never spills.
+        blocker = os.path.join(tmp, "blocker")
+        with open(blocker, "w"):
+            pass
+        stream_plain = detect("stream_plain",
+                              ["--stream", "--shards=3",
+                               f"--spool-dir={blocker}/spool"])
         stream_on = detect("stream_health",
                            ["--stream", "--shards=3",
                             f"--health-out={stream_health}",
@@ -160,8 +172,11 @@ def main():
 
         # All departments train at once as one job graph; nothing the
         # run reports may depend on the worker count.
+        spool_probe = os.path.join(tmp, "spool-probe")
+        users = {}
         for mode, extra in (("memory", []),
-                            ("stream", ["--stream", "--shards=2"])):
+                            ("stream", ["--stream", "--shards=2",
+                                        f"--spool-dir={spool_probe}"])):
             outs, series = [], []
             for threads in (1, 4):
                 tag = f"{mode}_t{threads}"
@@ -170,7 +185,9 @@ def main():
                     tag, extra + [f"--threads={threads}",
                                   f"--metrics-out={metrics}"])))
                 with open(metrics, encoding="utf-8") as f:
-                    series.append(json.load(f)["series"])
+                    doc = json.load(f)
+                series.append(doc["series"])
+                users[mode] = doc["gauges"].get("features.users")
             if outs[0].count(b"=== ") < 3:
                 print(f"FAIL: {mode} run listed fewer than 3 departments",
                       file=sys.stderr)
@@ -182,6 +199,15 @@ def main():
             if not series[0] or series[0] != series[1]:
                 print(f"FAIL: {mode} --metrics-out series differ at "
                       "--threads=1 and --threads=4", file=sys.stderr)
+                return 1
+        if not users["memory"] or users["memory"] != users["stream"]:
+            print(f"FAIL: features.users differs by mode: {users}",
+                  file=sys.stderr)
+            return 1
+        for leftover in (os.path.join(data, ".acobe-spool"), spool_probe):
+            if os.path.exists(leftover):
+                print(f"FAIL: an under-cap run left {leftover} behind",
+                      file=sys.stderr)
                 return 1
 
         run([sys.executable, args.check_health, health, "--require-final"])

@@ -167,7 +167,7 @@ TEST(LogIoTest, DeviceCsvRoundTrip) {
   std::stringstream ss;
   WriteDeviceCsv(store, ss);
   LogStore loaded;
-  ReadDeviceCsv(ss, loaded);
+  ReadDeviceCsv(ss, loaded, IngestOptions{});
   ASSERT_EQ(loaded.devices().size(), 2u);
   EXPECT_EQ(loaded.devices()[0].ts, 200);
   EXPECT_EQ(loaded.users().NameOf(loaded.devices()[0].user), "JPH1910");
@@ -179,7 +179,7 @@ TEST(LogIoTest, FileCsvRoundTripWithQuoting) {
   std::stringstream ss;
   WriteFileCsv(store, ss);
   LogStore loaded;
-  ReadFileCsv(ss, loaded);
+  ReadFileCsv(ss, loaded, IngestOptions{});
   ASSERT_EQ(loaded.file_events().size(), 1u);
   const FileEvent& e = loaded.file_events()[0];
   EXPECT_EQ(loaded.files().NameOf(e.file), "doc,with comma");
@@ -195,9 +195,9 @@ TEST(LogIoTest, HttpLogonLdapRoundTrips) {
   WriteLdapCsv(store, ldap);
 
   LogStore loaded;
-  ReadHttpCsv(http, loaded);
-  ReadLogonCsv(logon, loaded);
-  ReadLdapCsv(ldap, loaded);
+  ReadHttpCsv(http, loaded, IngestOptions{});
+  ReadLogonCsv(logon, loaded, IngestOptions{});
+  ReadLdapCsv(ldap, loaded, IngestOptions{});
   ASSERT_EQ(loaded.http_events().size(), 1u);
   EXPECT_EQ(loaded.http_events()[0].filetype, HttpFileType::kDoc);
   ASSERT_EQ(loaded.logons().size(), 1u);
@@ -208,13 +208,14 @@ TEST(LogIoTest, HttpLogonLdapRoundTrips) {
 TEST(LogIoTest, MalformedRowThrows) {
   std::stringstream ss("ts,user,pc,activity\n1,alice\n");
   LogStore store;
-  EXPECT_THROW(ReadDeviceCsv(ss, store), std::invalid_argument);
+  EXPECT_THROW(ReadDeviceCsv(ss, store, IngestOptions{}),
+               std::invalid_argument);
 }
 
 TEST(LogIoTest, EmptyStreamYieldsNothing) {
   std::stringstream ss;
   LogStore store;
-  ReadDeviceCsv(ss, store);
+  ReadDeviceCsv(ss, store, IngestOptions{});
   EXPECT_TRUE(store.devices().empty());
 }
 
@@ -416,8 +417,8 @@ TEST(LogIoTest, EnterpriseAndProxyCsvRoundTrips) {
   WriteProxyCsv(store, proxy);
 
   LogStore loaded;
-  ReadEnterpriseCsv(ent, loaded);
-  ReadProxyCsv(proxy, loaded);
+  ReadEnterpriseCsv(ent, loaded, IngestOptions{});
+  ReadProxyCsv(proxy, loaded, IngestOptions{});
   ASSERT_EQ(loaded.enterprise_events().size(), 1u);
   const EnterpriseEvent& e = loaded.enterprise_events()[0];
   EXPECT_EQ(e.ts, 500);

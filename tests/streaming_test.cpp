@@ -1,10 +1,13 @@
-// Streaming data plane: the external-sort spool, the per-department
-// demux, and the contract the whole PR rests on — the out-of-core path
-// produces bit-identical measurement cubes and detection scores to the
-// in-memory path on the same dataset.
+// Data plane: the event spool (in RAM under its buffer budget, spilled
+// runs past it), the per-department demux, and the contract both rest
+// on — spooled, per-department cubes and detection scores are
+// bit-identical to a ReplayStore over the whole LogStore, in every
+// spill regime.
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,14 @@ struct RecordingSink : LogSink {
 };
 
 constexpr Timestamp kDay = kSecondsPerDay;
+
+/// Entries in `dir`; 0 when it does not exist.
+std::size_t FilesIn(const std::string& dir) {
+  if (!std::filesystem::exists(dir)) return 0;
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator(dir),
+      std::filesystem::directory_iterator()));
+}
 
 TEST(SpoolTest, RoundTripPreservesFieldsAndRouting) {
   ShardSpooler spool(SpoolDir("spool_roundtrip"), 2, 1 << 12);
@@ -163,16 +174,115 @@ TEST(SpoolTest, ManySpilledRunsMergeInNondecreasingDayOrder) {
 TEST(SpoolTest, RemoveCleansUpShardFilesAndDirectory) {
   const std::string dir = SpoolDir("spool_cleanup");
   {
+    // 1 << 12 bytes floors to 1024 events per shard: 1500 events spill
+    // shard 0 once, and Finish writes the rest as a second run.
     ShardSpooler spool(dir, 2, 1 << 12);
+    spool.AssignUser(0, 0);
+    for (int i = 0; i < 1500; ++i) {
+      LogonEvent e;
+      e.ts = (i % 30) * kDay;
+      e.user = 0;
+      spool.Consume(e);
+    }
+    spool.Finish();
+    EXPECT_TRUE(std::filesystem::exists(dir));
+    EXPECT_EQ(FilesIn(dir), 1u);  // shard 1 never spilled: no file
+  }  // destructor removes
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(SpoolTest, UnderCapCreatesNoFiles) {
+  const std::string dir = SpoolDir("spool_under_cap");
+  std::vector<Timestamp> sent;
+  {
+    ShardSpooler spool(dir, 2, 1 << 20);
+    spool.AssignUser(0, 0);
+    spool.AssignUser(1, 1);
+    for (int i = 0; i < 500; ++i) {
+      LogonEvent e;
+      e.ts = ((i * 7) % 40) * kDay + i;  // days out of arrival order
+      e.user = static_cast<UserId>(i % 2);
+      sent.push_back(e.ts);
+      spool.Consume(e);
+    }
+    spool.Finish();
+    EXPECT_FALSE(std::filesystem::exists(dir));
+
+    std::vector<Timestamp> got;
+    for (int s = 0; s < 2; ++s) {
+      RecordingSink sink;
+      spool.Replay(s, sink);
+      EXPECT_EQ(sink.arrival.size(), 250u);
+      for (std::size_t i = 1; i < sink.arrival.size(); ++i) {
+        EXPECT_LE(sink.arrival[i - 1] / kDay, sink.arrival[i] / kDay);
+      }
+      got.insert(got.end(), sink.arrival.begin(), sink.arrival.end());
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(sent.begin(), sent.end());
+    EXPECT_EQ(got, sent);
+
+    spool.Remove();  // nothing was created: a no-op
+    EXPECT_FALSE(std::filesystem::exists(dir));
+  }
+
+  // A spool directory the user made beforehand outlives an under-cap run.
+  std::filesystem::create_directories(dir);
+  {
+    ShardSpooler spool(dir, 1, 1 << 20);
     spool.AssignUser(0, 0);
     LogonEvent e;
     e.ts = kDay;
     e.user = 0;
     spool.Consume(e);
     spool.Finish();
-    EXPECT_TRUE(std::filesystem::exists(dir));
-  }  // destructor removes
-  EXPECT_FALSE(std::filesystem::exists(dir));
+    RecordingSink sink;
+    spool.Replay(0, sink);
+    EXPECT_EQ(sink.arrival.size(), 1u);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir));
+  EXPECT_EQ(FilesIn(dir), 0u);
+}
+
+TEST(SpoolTest, PreEpochDaysReplayInFloorDayOrder) {
+  // Days -2 .. +1: truncating division would file day -1 under day 0
+  // and let the merge interleave them.
+  auto floor_day = [](Timestamp ts) {
+    return ts >= 0 ? ts / kDay : -((-ts + kDay - 1) / kDay);
+  };
+  for (const std::size_t buffer :
+       {std::size_t{1} << 10, std::size_t{1} << 20}) {
+    SCOPED_TRACE(buffer);
+    ShardSpooler spool(SpoolDir("spool_pre_epoch"), 1, buffer);
+    spool.AssignUser(0, 0);
+    std::uint64_t state = 777;
+    for (int i = 0; i < 3000; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      LogonEvent e;
+      e.ts = static_cast<Timestamp>((state >> 33) % (4 * kDay)) - 2 * kDay;
+      e.user = 0;
+      spool.Consume(e);
+    }
+    spool.Finish();
+    RecordingSink sink;
+    spool.Replay(0, sink);
+    ASSERT_EQ(sink.arrival.size(), 3000u);
+    EXPECT_EQ(floor_day(sink.arrival.front()), -2);
+    EXPECT_EQ(floor_day(sink.arrival.back()), 1);
+    for (std::size_t i = 1; i < sink.arrival.size(); ++i) {
+      ASSERT_LE(floor_day(sink.arrival[i - 1]), floor_day(sink.arrival[i]))
+          << "at event " << i;
+    }
+  }
+}
+
+TEST(SpoolTest, DayNumberOfFloors) {
+  EXPECT_EQ(DayNumberOf(0), 0);
+  EXPECT_EQ(DayNumberOf(kDay - 1), 0);
+  EXPECT_EQ(DayNumberOf(kDay), 1);
+  EXPECT_EQ(DayNumberOf(-1), -1);
+  EXPECT_EQ(DayNumberOf(-kDay), -1);
+  EXPECT_EQ(DayNumberOf(-kDay - 1), -2);
 }
 
 /// Simulates a small two-department org and returns the sorted store.
@@ -198,6 +308,22 @@ LogStore* SharedCertStore() {
 constexpr Date kStart{2010, 1, 2};
 constexpr int kDays = 73;  // 2010-01-02 .. 2010-03-15
 
+/// Spools every event of `store` with department d routed to shard d.
+std::unique_ptr<ShardSpooler> SpoolByDepartment(
+    const LogStore& store, const std::vector<std::string>& departments,
+    const std::string& dir, std::size_t buffer_bytes) {
+  auto spool = std::make_unique<ShardSpooler>(
+      dir, static_cast<int>(departments.size()), buffer_bytes);
+  for (const LdapRecord& r : store.ldap()) {
+    const auto it =
+        std::find(departments.begin(), departments.end(), r.department);
+    spool->AssignUser(r.user, static_cast<int>(it - departments.begin()));
+  }
+  ReplayStore(store, *spool);
+  spool->Finish();
+  return spool;
+}
+
 TEST(StreamingTest, CubesBitIdenticalToInMemory) {
   LogStore& store = *SharedCertStore();
 
@@ -206,39 +332,65 @@ TEST(StreamingTest, CubesBitIdenticalToInMemory) {
   ReplayStore(store, full);
   for (const LdapRecord& r : store.ldap()) full.cube().RegisterUser(r.user);
 
-  // Streaming path: spool, then per-shard demux into per-dept cubes.
-  ShardSpooler spool(SpoolDir("spool_identity"), 2, 1 << 14);
   const std::vector<std::string> departments = store.Departments();
   ASSERT_EQ(departments.size(), 2u);
-  for (const LdapRecord& r : store.ldap()) {
-    const auto it =
-        std::find(departments.begin(), departments.end(), r.department);
-    spool.AssignUser(r.user, static_cast<int>(it - departments.begin()) % 2);
-  }
-  ReplayStore(store, spool);
-  spool.Finish();
+  constexpr std::size_t kNeverSpills = std::size_t{64} << 20;
 
-  for (int s = 0; s < 2; ++s) {
-    DepartmentDemux demux(kStart, kDays);
-    const std::string& dept = departments[s];
-    const std::vector<UserId> members = store.UsersInDepartment(dept);
-    demux.AddDepartment(dept, members);
-    spool.Replay(s, demux);
-    const MeasurementCube& dept_cube = demux.extractor(0).cube();
-    const MeasurementCube& full_cube = full.cube();
-    for (UserId user : members) {
-      const int di = dept_cube.UserIndex(user);
-      const int fi = full_cube.UserIndex(user);
-      ASSERT_GE(di, 0);
-      ASSERT_GE(fi, 0);
-      for (int f = 0; f < full_cube.features(); ++f) {
-        for (int d = 0; d < full_cube.days(); ++d) {
-          for (int fr = 0; fr < full_cube.frames(); ++fr) {
-            // Exact float equality: the contract is bit-identity, not
-            // tolerance.
-            ASSERT_EQ(dept_cube.At(di, f, d, fr), full_cube.At(fi, f, d, fr))
-                << "user " << user << " feature " << f << " day " << d
-                << " frame " << fr;
+  // Events per shard, to place one buffer between the two shard sizes.
+  std::size_t small = 0, large = 0;
+  {
+    auto spool = SpoolByDepartment(store, departments,
+                                   SpoolDir("spool_count"), kNeverSpills);
+    RecordingSink a, b;
+    spool->Replay(0, a);
+    spool->Replay(1, b);
+    small = std::min(a.arrival.size(), b.arrival.size());
+    large = std::max(a.arrival.size(), b.arrival.size());
+  }
+  // 16 KiB floors to 1024 events per shard, which both shards exceed.
+  ASSERT_GT(small, 1024u);
+  ASSERT_LT(small + 1, large);
+
+  struct Regime {
+    const char* name;
+    std::size_t buffer_bytes;
+    std::size_t spilled_shards;
+  };
+  const Regime regimes[] = {
+      {"never spilled", kNeverSpills, 0},
+      {"many spilled runs", std::size_t{1} << 14, 2},
+      {"one shard spilled", (small + large) / 2 * sizeof(PackedEvent) * 2, 1},
+  };
+  for (const Regime& regime : regimes) {
+    SCOPED_TRACE(regime.name);
+    const std::string dir = SpoolDir("spool_identity");
+    auto spool =
+        SpoolByDepartment(store, departments, dir, regime.buffer_bytes);
+    EXPECT_EQ(FilesIn(dir), regime.spilled_shards);
+
+    for (int s = 0; s < 2; ++s) {
+      DepartmentDemux demux(kStart, kDays);
+      const std::string& dept = departments[s];
+      const std::vector<UserId> members = store.UsersInDepartment(dept);
+      demux.AddDepartment(dept, members);
+      spool->Replay(s, demux);
+      const MeasurementCube& dept_cube = demux.extractor(0).cube();
+      const MeasurementCube& full_cube = full.cube();
+      for (UserId user : members) {
+        const int di = dept_cube.UserIndex(user);
+        const int fi = full_cube.UserIndex(user);
+        ASSERT_GE(di, 0);
+        ASSERT_GE(fi, 0);
+        for (int f = 0; f < full_cube.features(); ++f) {
+          for (int d = 0; d < full_cube.days(); ++d) {
+            for (int fr = 0; fr < full_cube.frames(); ++fr) {
+              // Exact float equality: the contract is bit-identity, not
+              // tolerance.
+              ASSERT_EQ(dept_cube.At(di, f, d, fr),
+                        full_cube.At(fi, f, d, fr))
+                  << "user " << user << " feature " << f << " day " << d
+                  << " frame " << fr;
+            }
           }
         }
       }

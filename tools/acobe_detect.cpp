@@ -15,24 +15,23 @@
 //
 // --threads: worker threads for training/scoring/deviation (0 = the
 // ACOBE_THREADS environment variable, else hardware concurrency). All
-// departments (of a shard, with --stream) train at once: every
-// (department, aspect) model is one job over the shared pool. Results
-// are identical for any thread count, and identical with telemetry on
-// or off.
+// departments of a shard train at once: every (department, aspect)
+// model is one job over the shared pool. Results are identical for any
+// thread count, and identical with telemetry on or off.
 //
-// Out-of-core mode: --stream replaces the in-memory LogStore with the
-// streaming data plane (logs/spool.h). Pass A reads each CSV once and
-// spools packed events into per-shard files (departments hash to
-// shards); pass B replays one shard at a time into per-department
-// measurement cubes, so peak memory is bounded by the largest shard
-// instead of the whole organization. Output — stdout, --explain-out,
-// --ledger-out — is byte-identical to the in-memory path on the same
-// dataset: both paths share the CSV parsers (same interning, same
-// recovery policy), cubes are order-free within a day, and results are
-// emitted in the canonical LDAP department order either way.
-// --shards (default 8) tunes the memory/seek tradeoff; --spool-dir
-// (default DIR/.acobe-spool) places the spool files, which are removed
-// on exit.
+// One pipeline (logs/spool.h): pass A reads ldap.csv, then streams each
+// event CSV once into a spooler that packs events into per-shard
+// buffers (departments are dealt round-robin to shards); pass B replays
+// one shard at a time into per-department measurement cubes and trains
+// them. Without --stream there is one shard; --stream splits the
+// departments over --shards (default 8) so peak memory is bounded by
+// the largest shard instead of the whole organization. Shards stay in
+// RAM while the events fit the 256 MB buffer budget; past it, in either
+// mode, they spill day-sorted runs to files under --spool-dir (default
+// DIR/.acobe-spool, created only then and removed on exit). Output —
+// stdout, --explain-out, --ledger-out — is byte-identical for any shard
+// count: cubes are order-free within a day, and results are emitted in
+// the canonical LDAP department order.
 //
 // Fault tolerance: --ingest=permissive skips malformed CSV rows under a
 // bounded error budget (--error-budget, default 5%) instead of aborting
@@ -86,6 +85,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,10 +150,11 @@ void Usage() {
       "  --ingest=POLICY     malformed-row policy (default strict)\n"
       "  --error-budget=R    abort past this rejected-row fraction (def 0.05)\n"
       "  --quarantine-dir=D  write rejected raw rows under D\n"
-      "  --stream            out-of-core mode: spool events to disk and\n"
-      "                      process one department shard at a time\n"
+      "  --stream            split departments over --shards and process\n"
+      "                      one shard at a time (default: one shard)\n"
       "  --shards=N          department shards in --stream mode (def 8)\n"
-      "  --spool-dir=D       spool-file directory (def DIR/.acobe-spool)\n"
+      "  --spool-dir=D       where events past the 256 MB buffer spill, in\n"
+      "                      either mode (def DIR/.acobe-spool)\n"
       "  --checkpoint-dir=D  save per-aspect models under D as they train\n"
       "  --resume            reuse matching checkpoints from a killed run\n"
       "  --explain-out=F     write per-detection attribution JSON to F\n"
@@ -169,12 +170,8 @@ void Usage() {
       "artifact\n");
 }
 
-using BufferedReader = IngestStats (*)(std::istream&, LogStore&,
-                                       const IngestOptions&,
-                                       const std::string&);
-using StreamingReader = IngestStats (*)(std::istream&, EntityCatalog&,
-                                        LogSink&, const IngestOptions&,
-                                        const std::string&);
+using EventReader = IngestStats (*)(std::istream&, EntityCatalog&, LogSink&,
+                                    const IngestOptions&, const std::string&);
 
 /// Wires the per-file quarantine sink into one read. Returns false when
 /// the file is absent; runs `read` with the final options otherwise.
@@ -269,9 +266,9 @@ void JsonStr(std::ostream& out, std::string_view s) {
 }
 
 /// One department's full output, retained for the emit stage, the
-/// explain report and the ledger. Both detection paths buffer these and
-/// emit in canonical LDAP department order, which is what makes their
-/// stdout and artifacts byte-identical.
+/// explain report and the ledger. Shards finish in shard order; results
+/// are emitted in canonical LDAP department order, which is what makes
+/// stdout and artifacts byte-identical for any shard count.
 struct DeptResult {
   std::string name;
   DetectionOutput out;
@@ -467,8 +464,7 @@ void PrintAttribution(const UserAttribution& ua, const std::string& user_name,
   }
 }
 
-/// Emit stage, shared by both detection paths: the printed list and
-/// attributions for one department.
+/// Emit stage: the printed list and attributions for one department.
 void PrintDeptResult(const DeptResult& result, const EntityCatalog& tables,
                      const FeatureCatalog& catalog,
                      const TimeFramePartition& partition, Date start,
@@ -699,18 +695,12 @@ int main(int argc, char** argv) {
   health::SetStage("ingest", 5);  // the five CERT CSVs
 
   // --- ingest (pass A) -----------------------------------------------------
-  // In-memory mode buffers every stream in a LogStore; streaming mode
-  // keeps only the entity catalog resident and spools packed events to
-  // per-shard files. Both leave the same catalog and the same event-day
-  // range behind.
-  LogStore store;                       // in-memory mode (unused otherwise)
-  EntityCatalog streaming_tables;       // streaming mode
-  EntityCatalog& tables =
-      stream ? streaming_tables : static_cast<EntityCatalog&>(store);
+  // Only the entity catalog stays resident; events pack into the
+  // spooler's shards (departments dealt round-robin; one shard without
+  // --stream). Shards under the buffer budget stay in RAM.
+  EntityCatalog tables;
   std::unique_ptr<ShardSpooler> spooler;
   IngestStats ingest_stats;
-  Timestamp lo = std::numeric_limits<Timestamp>::max();
-  Timestamp hi = std::numeric_limits<Timestamp>::min();
 
   // Cooperative SIGINT/SIGTERM unwind, polled at loop boundaries: drop
   // the spool shard files, land a run_aborted ledger event (with a
@@ -749,95 +739,62 @@ int main(int argc, char** argv) {
   };
 
   try {
-    if (stream) {
-      // The roster first: departments define the shard routing. Always
-      // strict — a dropped ldap row silently deletes a user.
-      IngestOptions roster = ingest;
-      roster.policy = IngestPolicy::kStrict;
-      const bool have_roster = ReadOneCsv(
-          in_dir, "ldap.csv", roster, quarantine_dir, ingest_stats,
-          [&](std::istream& in, const IngestOptions& opts) {
-            return ReadLdapCsv(in, tables, opts, "ldap.csv");
-          });
-      if (!have_roster || tables.ldap().empty()) {
-        std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
-        return kExitBadInput;
-      }
-      const std::vector<std::string> departments = tables.Departments();
-      const int n_shards =
-          std::max(1, std::min(shards, static_cast<int>(departments.size())));
-      spooler = std::make_unique<ShardSpooler>(spool_dir, n_shards,
-                                               kSpoolBufferBytes);
-      std::map<std::string, int> dept_shard;
-      for (std::size_t d = 0; d < departments.size(); ++d) {
-        dept_shard[departments[d]] = static_cast<int>(d) % n_shards;
-      }
-      for (const LdapRecord& r : tables.ldap()) {
-        spooler->AssignUser(r.user, dept_shard[r.department]);
-      }
-      auto read_stream = [&](const char* name, StreamingReader reader) {
-        return ReadOneCsv(in_dir, name, ingest, quarantine_dir, ingest_stats,
-                          [&](std::istream& in, const IngestOptions& opts) {
-                            return reader(in, tables, *spooler, opts, name);
-                          });
-      };
-      bool any = false;
-      any |= read_stream("device.csv", ReadDeviceCsv);
-      any |= read_stream("file.csv", ReadFileCsv);
-      any |= read_stream("http.csv", ReadHttpCsv);
-      any |= read_stream("logon.csv", ReadLogonCsv);
-      if (!any) {
-        std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
-        return kExitBadInput;
-      }
-      if (ShutdownRequested()) return abort_run("ingest");
-      health::SetStage("spool");
-      spooler->Finish();
-      lo = spooler->ts_lo();
-      hi = spooler->ts_hi();
-      std::fprintf(stderr,
-                   "spooled %zu events into %d shards (%zu dropped: users "
-                   "outside the roster), %zu users\n",
-                   spooler->events_spooled(), spooler->shards(),
-                   spooler->events_dropped(), tables.users().size());
-    } else {
-      auto read_buffered = [&](const char* name, BufferedReader reader,
-                               const IngestOptions& opts) {
-        return ReadOneCsv(in_dir, name, opts, quarantine_dir, ingest_stats,
-                          [&](std::istream& in, const IngestOptions& o) {
-                            return reader(in, store, o, name);
-                          });
-      };
-      bool any = false;
-      any |= read_buffered("device.csv", ReadDeviceCsv, ingest);
-      any |= read_buffered("file.csv", ReadFileCsv, ingest);
-      any |= read_buffered("http.csv", ReadHttpCsv, ingest);
-      any |= read_buffered("logon.csv", ReadLogonCsv, ingest);
-      // The population roster must be intact in every policy: a dropped
-      // ldap row silently deletes a user from the study.
-      IngestOptions roster = ingest;
-      roster.policy = IngestPolicy::kStrict;
-      if (!read_buffered("ldap.csv", ReadLdapCsv, roster) || !any) {
-        std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
-        return kExitBadInput;
-      }
-      store.SortChronologically();
-      std::fprintf(stderr, "loaded %zu events, %zu users\n",
-                   store.TotalEvents(), store.users().size());
-      auto scan = [&](auto const& events) {
-        for (const auto& e : events) {
-          lo = std::min(lo, e.ts);
-          hi = std::max(hi, e.ts);
-        }
-      };
-      scan(store.devices());
-      scan(store.file_events());
-      scan(store.http_events());
-      scan(store.logons());
+    // The roster first: departments define the shard routing. Always
+    // strict — a dropped ldap row silently deletes a user.
+    IngestOptions roster = ingest;
+    roster.policy = IngestPolicy::kStrict;
+    const bool have_roster = ReadOneCsv(
+        in_dir, "ldap.csv", roster, quarantine_dir, ingest_stats,
+        [&](std::istream& in, const IngestOptions& opts) {
+          return ReadLdapCsv(in, tables, opts, "ldap.csv");
+        });
+    if (!have_roster || tables.ldap().empty()) {
+      std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
+      return kExitBadInput;
     }
+    const std::vector<std::string> departments = tables.Departments();
+    const int n_shards =
+        stream ? std::max(1, std::min(shards,
+                                      static_cast<int>(departments.size())))
+               : 1;
+    spooler = std::make_unique<ShardSpooler>(spool_dir, n_shards,
+                                             kSpoolBufferBytes);
+    std::map<std::string, int> dept_shard;
+    for (std::size_t d = 0; d < departments.size(); ++d) {
+      dept_shard[departments[d]] = static_cast<int>(d) % n_shards;
+    }
+    for (const LdapRecord& r : tables.ldap()) {
+      spooler->AssignUser(r.user, dept_shard[r.department]);
+    }
+    auto read_events = [&](const char* name, EventReader reader) {
+      return ReadOneCsv(in_dir, name, ingest, quarantine_dir, ingest_stats,
+                        [&](std::istream& in, const IngestOptions& opts) {
+                          return reader(in, tables, *spooler, opts, name);
+                        });
+    };
+    bool any = false;
+    any |= read_events("device.csv", ReadDeviceCsv);
+    any |= read_events("file.csv", ReadFileCsv);
+    any |= read_events("http.csv", ReadHttpCsv);
+    any |= read_events("logon.csv", ReadLogonCsv);
+    if (!any) {
+      std::fprintf(stderr, "no readable logs under %s\n", in_dir.c_str());
+      return kExitBadInput;
+    }
+    if (ShutdownRequested()) return abort_run("ingest");
+    health::SetStage("spool");
+    spooler->Finish();
+    std::fprintf(stderr,
+                 "spooled %zu events into %d shards (%zu dropped: users "
+                 "outside the roster), %zu users\n",
+                 spooler->events_spooled(), spooler->shards(),
+                 spooler->events_dropped(), tables.users().size());
   } catch (const IngestError& e) {
     std::fprintf(stderr, "acobe-detect: malformed input: %s\n", e.what());
     return kExitBadInput;
+  } catch (const std::runtime_error& e) {  // a spill to --spool-dir failed
+    std::fprintf(stderr, "acobe-detect: spool: %s\n", e.what());
+    return kExitFailure;
   }
   if (ShutdownRequested()) return abort_run("ingest");
   if (ingest_stats.rows_rejected > 0 || ingest_stats.rows_deduped > 0) {
@@ -849,12 +806,12 @@ int main(int argc, char** argv) {
   }
 
   // Day range from the data itself.
-  if (lo > hi) {
+  if (!spooler->has_events()) {
     std::fprintf(stderr, "no events\n");
     return kExitBadInput;
   }
-  const Date start = DateOf(lo);
-  const Date last = DateOf(hi);
+  const Date start = DateOf(spooler->ts_lo());
+  const Date last = DateOf(spooler->ts_hi());
   const int days = static_cast<int>(DaysBetween(start, last)) + 1;
   if (days > kMaxDaySpan) {
     std::fprintf(stderr,
@@ -929,9 +886,8 @@ int main(int argc, char** argv) {
     ledger.Append(manifest);
   }
 
-  // A catalog-and-partition anchor for the emit stage. The in-memory
-  // path keeps its full extractor; the streaming path frees each
-  // shard's extractors as it goes, so the metadata lives here.
+  // A catalog-and-partition anchor for the emit stage: each shard's
+  // extractors are freed as the run goes, so the metadata lives here.
   const CertAcobeExtractor meta(start, 1);
 
   const Detector detector(spec);
@@ -958,111 +914,80 @@ int main(int argc, char** argv) {
   };
 
   // --- compute (pass B) ----------------------------------------------------
-  // Both paths leave `results` in the canonical department order. Every
-  // department of a run (of a shard, in --stream mode) trains at once:
-  // one RunGroups call, one (department x aspect) job graph.
+  // Each shard replays into per-department cubes, and all departments of
+  // the shard train at once: one RunGroups call, one (department x
+  // aspect) job graph. `results` ends in the canonical department order.
   std::vector<DeptResult> results;
   // One "detect" unit per trained aspect plus one for scoring, per
   // department: ensemble training and Detector::RunGroups advance it.
   const std::uint64_t dept_units = meta.catalog().aspects().size() + 1;
-  auto run_groups = [&](const std::vector<DetectionGroup>& groups,
-                        const std::vector<std::string>& names,
-                        const FeatureCatalog& catalog) {
-    health::SetStageDetail("departments: " + std::to_string(groups.size()));
-    std::vector<DetectionOutput> outs = detector.RunGroups(
-        groups, catalog, 0, train_end, train_end, test_end);
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      warn_degraded(names[i], outs[i]);
-      results.push_back(DeptResult{names[i], std::move(outs[i])});
-    }
-  };
   try {
-    if (stream) {
-      const std::vector<std::string> departments = tables.Departments();
-      const int n_shards = spooler->shards();
-      health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
-      // The detect stage's whole total, added on its first entry.
-      std::uint64_t detect_total = 0;
-      for (const std::string& department : departments) {
-        if (tables.UsersInDepartment(department).size() >= 3) {
-          detect_total += dept_units;
-        }
-      }
-      for (int s = 0; s < n_shards; ++s) {
-        if (ShutdownRequested()) return abort_run("replay");
-        health::SetStage("replay");
-        health::SetStageDetail("shard " + std::to_string(s));
-        DepartmentDemux demux(start, days);
-        std::vector<std::pair<std::string, std::vector<UserId>>> shard_depts;
-        for (std::size_t d = 0; d < departments.size(); ++d) {
-          if (static_cast<int>(d) % n_shards != s) continue;
-          auto members = tables.UsersInDepartment(departments[d]);
-          if (members.size() < 3) continue;
-          demux.AddDepartment(departments[d], members);
-          shard_depts.emplace_back(departments[d], std::move(members));
-        }
-        if (shard_depts.empty()) {
-          health::StageAdvance();
-          continue;
-        }
-        {
-          telemetry::TraceSpan extract_span("detect.extract_features");
-          spooler->Replay(s, demux);
-        }
-        health::StageAdvance();
-        if (ShutdownRequested()) return abort_run("detect");
-        health::SetStage("detect", std::exchange(detect_total, 0));
-        std::vector<DetectionGroup> groups;
-        std::vector<std::string> names;
-        for (int d = 0; d < demux.departments(); ++d) {
-          auto& [department, members] = shard_depts[d];
-          groups.push_back(dept_group(demux.extractor(d).cube(), department,
-                                      std::move(members)));
-          names.push_back(department);
-        }
-        run_groups(groups, names, meta.catalog());
-      }
-      // Shard order is not report order: restore the canonical LDAP
-      // department order before emitting anything.
-      std::map<std::string, std::size_t> order;
-      for (std::size_t d = 0; d < departments.size(); ++d) {
-        order[departments[d]] = d;
-      }
-      std::sort(results.begin(), results.end(),
-                [&](const DeptResult& a, const DeptResult& b) {
-                  return order[a.name] < order[b.name];
-                });
-      spooler->Remove();
-    } else {
-      CertAcobeExtractor extractor(start, days);
-      {
-        health::SetStage("replay", 1);
-        telemetry::TraceSpan extract_span("detect.extract_features");
-        ReplayStore(store, extractor);
-        for (const LdapRecord& r : store.ldap()) {
-          extractor.cube().RegisterUser(r.user);
-        }
-        health::StageAdvance();
-      }
-      if (ShutdownRequested()) return abort_run("detect");
-      std::vector<DetectionGroup> groups;
-      std::vector<std::string> names;
-      for (const std::string& department : store.Departments()) {
-        auto members = store.UsersInDepartment(department);
-        if (members.size() < 3) continue;
-        groups.push_back(
-            dept_group(extractor.cube(), department, std::move(members)));
-        names.push_back(department);
-      }
-      if (!groups.empty()) {
-        health::SetStage("detect", groups.size() * dept_units);
-        run_groups(groups, names, extractor.catalog());
+    const std::vector<std::string> departments = tables.Departments();
+    const int n_shards = spooler->shards();
+    health::SetStage("replay", static_cast<std::uint64_t>(n_shards));
+    // The detect stage's whole total, added on its first entry.
+    std::uint64_t detect_total = 0;
+    for (const std::string& department : departments) {
+      if (tables.UsersInDepartment(department).size() >= 3) {
+        detect_total += dept_units;
       }
     }
+    for (int s = 0; s < n_shards; ++s) {
+      if (ShutdownRequested()) return abort_run("replay");
+      health::SetStage("replay");
+      health::SetStageDetail("shard " + std::to_string(s));
+      DepartmentDemux demux(start, days);
+      std::vector<std::pair<std::string, std::vector<UserId>>> shard_depts;
+      for (std::size_t d = 0; d < departments.size(); ++d) {
+        if (static_cast<int>(d) % n_shards != s) continue;
+        auto members = tables.UsersInDepartment(departments[d]);
+        if (members.size() < 3) continue;
+        demux.AddDepartment(departments[d], members);
+        shard_depts.emplace_back(departments[d], std::move(members));
+      }
+      if (shard_depts.empty()) {
+        health::StageAdvance();
+        continue;
+      }
+      {
+        telemetry::TraceSpan extract_span("detect.extract_features");
+        spooler->Replay(s, demux);
+      }
+      health::StageAdvance();
+      if (ShutdownRequested()) return abort_run("detect");
+      health::SetStage("detect", std::exchange(detect_total, 0));
+      health::SetStageDetail("departments: " +
+                             std::to_string(shard_depts.size()));
+      std::vector<DetectionGroup> groups;
+      for (int d = 0; d < demux.departments(); ++d) {
+        auto& [department, members] = shard_depts[d];
+        groups.push_back(dept_group(demux.extractor(d).cube(), department,
+                                    std::move(members)));
+      }
+      std::vector<DetectionOutput> outs = detector.RunGroups(
+          groups, meta.catalog(), 0, train_end, train_end, test_end);
+      for (std::size_t i = 0; i < outs.size(); ++i) {
+        warn_degraded(shard_depts[i].first, outs[i]);
+        results.push_back(
+            DeptResult{shard_depts[i].first, std::move(outs[i])});
+      }
+    }
+    // Shard order is not report order: restore the canonical LDAP
+    // department order before emitting anything.
+    std::map<std::string, std::size_t> order;
+    for (std::size_t d = 0; d < departments.size(); ++d) {
+      order[departments[d]] = d;
+    }
+    std::sort(results.begin(), results.end(),
+              [&](const DeptResult& a, const DeptResult& b) {
+                return order[a.name] < order[b.name];
+              });
+    spooler->Remove();
   } catch (const CheckpointMismatch& e) {
     std::fprintf(stderr, "acobe-detect: corrupt artifact: %s\n", e.what());
     return kExitCorruptArtifact;
   }
+  ACOBE_GAUGE_SET("features.users", tables.users().size());
   ACOBE_GAUGE_SET("features.days", days);
   ACOBE_GAUGE_SET("features.features",
                   static_cast<int>(CertAcobeExtractor::kFeatureCount));

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark of the out-of-core streaming data plane.
+"""End-to-end benchmark of the detect data plane, sharded and unsharded.
 
 Runs the full pipeline at a configurable scale:
 
     acobe_gen --stream  ->  acobe_detect --stream
-                        ->  acobe_detect            (in-memory reference)
+                        ->  acobe_detect            (one-shard reference)
 
 and writes an acobe.metrics.v1 JSON with throughput (users/sec,
 events/sec, deviation matrices/sec) and peak-RSS gauges for each stage.
@@ -12,14 +12,17 @@ The streaming detect runs with --health-out, and the final heartbeat's
 per-stage wall times land as `<prefix>.detect_stream.stage.<name>_seconds`
 gauges, so the benchmark log shows where the pipeline spent its time
 (ingest vs spool vs replay vs detect vs write).
-Unless --skip-memory is given, the in-memory detector runs on the same
-dataset and the two stdouts are compared byte-for-byte: the benchmark
-FAILS if the streaming path is not bit-identical, so every perf run is
-also a correctness run.
+Unless --skip-memory is given, the default (one-shard) detector runs on
+the same dataset and the two stdouts are compared byte-for-byte: the
+benchmark FAILS if the sharded run is not bit-identical, so every perf
+run is also a correctness run. The "memory" names of its flag and
+gauges date from when the default run buffered every event in a
+LogStore; it is now the same pipeline with every department in one
+shard.
 
 The headline transferable metric is
-`pipeline.detect.stream_vs_memory_rss_ratio` — streaming peak RSS over
-in-memory peak RSS on the same dataset in the same run. Like the GEMM
+`pipeline.detect.stream_vs_memory_rss_ratio` — sharded peak RSS over
+one-shard peak RSS on the same dataset in the same run. Like the GEMM
 blocked/ref speedup, the ratio cancels machine and container effects;
 absolute rates and RSS are recorded for the log but do not transfer.
 
@@ -94,7 +97,7 @@ def main():
                     help="activity rate scale (default 0.3)")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--skip-memory", action="store_true",
-                    help="skip the in-memory reference run (very large "
+                    help="skip the one-shard reference run (very large "
                          "datasets); no identity check, no RSS ratio")
     ap.add_argument("--keep-data", action="store_true")
     ap.add_argument("--data-dir", default=None,
@@ -183,7 +186,7 @@ def main():
                 gauges[f"{p}.detect_stream.stage.{name}_seconds"] = \
                     round(float(stage.get("seconds", 0.0)), 3)
 
-        # --- detect (in-memory reference) + identity check -----------
+        # --- detect (one-shard reference) + identity check -----------
         if not args.skip_memory:
             mem_metrics = os.path.join(scratch, "detect_mem.json")
             mem_out = os.path.join(scratch, "detect_mem.out")
@@ -199,10 +202,10 @@ def main():
                 round(stream_rss / mem_rss, 4)
             with open(stream_out, "rb") as a, open(mem_out, "rb") as b:
                 if a.read() != b.read():
-                    print("bench_pipeline: FAIL: streaming stdout differs "
-                          "from in-memory stdout", file=sys.stderr)
+                    print("bench_pipeline: FAIL: sharded stdout differs "
+                          "from one-shard stdout", file=sys.stderr)
                     return 1
-            print("identity: streaming stdout == in-memory stdout")
+            print("identity: sharded stdout == one-shard stdout")
     except (RuntimeError, ValueError, KeyError, OSError) as e:
         print(f"bench_pipeline: {e}", file=sys.stderr)
         return 1

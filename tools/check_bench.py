@@ -34,8 +34,8 @@ Usage:
 --pipeline gates a `tools/bench_pipeline.py` run (bench/BENCH_pipeline.json
 is the checked-in baseline) the same way: on the in-run ratio that
 transfers across machines. Here that is
-`pipeline.detect.stream_vs_memory_rss_ratio` — streaming peak RSS over
-in-memory peak RSS on the same dataset. The gate fails if the current
+`pipeline.detect.stream_vs_memory_rss_ratio` — `--stream` peak RSS over
+default (one-shard) peak RSS on the same dataset. The gate fails if the current
 ratio exceeds the baseline ratio times --rss-tolerance (default 1.25,
 i.e. a >25% relative RSS regression of the out-of-core path), or if any
 required pipeline gauge is missing or non-positive.
