@@ -16,15 +16,9 @@ namespace acobe {
 
 namespace {
 
+// Set once on every ThreadPool worker: nested parallel sections check
+// OnWorkerThread() and run inline instead of re-entering the runtime.
 thread_local bool t_on_worker_thread = false;
-
-/// RAII worker marker: nested parallel sections check OnWorkerThread()
-/// and run inline instead of re-entering the runtime.
-struct WorkerScope {
-  bool previous;
-  WorkerScope() : previous(t_on_worker_thread) { t_on_worker_thread = true; }
-  ~WorkerScope() { t_on_worker_thread = previous; }
-};
 
 }  // namespace
 
@@ -119,6 +113,7 @@ void ThreadPool::ParallelFor(int begin, int end,
 }
 
 void ThreadPool::WorkerLoop() {
+  t_on_worker_thread = true;
   for (;;) {
     std::packaged_task<void()> task;
     {
@@ -131,59 +126,9 @@ void ThreadPool::WorkerLoop() {
     // Span "pool.task" is how utilization shows up: the fraction of a
     // worker's trace row covered by pool.task events is its busy share.
     telemetry::TraceSpan span("pool.task");
-    WorkerScope worker_scope;
     task();  // exceptions land in the packaged_task's future
     ACOBE_COUNT("pool.tasks_executed", 1);
   }
-}
-
-void ParallelFor(int begin, int end, int threads,
-                 const std::function<void(int)>& fn) {
-  if (begin >= end) return;
-  const int span = end - begin;
-  int n = ResolveThreadCount(threads);
-  if (n > span) n = span;
-  ACOBE_COUNT("parallel.for_calls", 1);
-  ACOBE_HISTOGRAM("parallel.for_iterations", span);
-  if (n <= 1) {
-    for (int i = begin; i < end; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<int> next(begin);
-  std::atomic<bool> failed(false);
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    WorkerScope worker_scope;
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end || failed.load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> extra;
-  extra.reserve(n - 1);
-  for (int t = 1; t < n; ++t) {
-    extra.emplace_back([&worker] {
-      if (telemetry::TracingEnabled()) {
-        telemetry::SetCurrentThreadName("parallel-worker");
-      }
-      telemetry::TraceSpan span("parallel.worker");
-      worker();
-    });
-  }
-  worker();  // the calling thread participates
-  for (std::thread& t : extra) t.join();
-  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& SharedPool(int threads) {
@@ -196,16 +141,20 @@ ThreadPool& SharedPool(int threads) {
   return *slot;
 }
 
-void PooledParallelFor(int begin, int end, int threads,
-                       const std::function<void(int)>& fn) {
+void ParallelFor(int begin, int end, int threads,
+                 const std::function<void(int)>& fn) {
   if (begin >= end) return;
   const int span = end - begin;
-  const int n = std::min(ResolveThreadCount(threads), span);
-  ACOBE_COUNT("parallel.pooled_for_calls", 1);
-  if (n <= 1 || OnWorkerThread()) {
+  const int n = ResolveThreadCount(threads);
+  ACOBE_COUNT("parallel.for_calls", 1);
+  ACOBE_HISTOGRAM("parallel.for_iterations", span);
+  if (n <= 1 || span <= 1 || OnWorkerThread()) {
     for (int i = begin; i < end; ++i) fn(i);
     return;
   }
+  // Keyed by the resolved count, not the span: ThreadPool::ParallelFor
+  // already caps its tasks at the span, and a pool per short span would
+  // leave idle workers behind for the life of the process.
   SharedPool(n).ParallelFor(begin, end, fn);
 }
 

@@ -50,11 +50,11 @@ class ThreadPool {
   /// what it threw).
   std::future<void> Submit(std::function<void()> fn);
 
-  /// Pool-backed counterpart of acobe::ParallelFor (same iteration
-  /// contract): runs fn(i) for i in [begin, end) on the pool's workers
-  /// and blocks until done, rethrowing the first iteration exception.
-  /// Must not be called from inside a pool task (the caller waits on
-  /// futures served by the same workers).
+  /// Runs fn(i) for i in [begin, end) on this pool's workers (never
+  /// more tasks than iterations) and blocks until done, rethrowing an
+  /// iteration exception; the engine under acobe::ParallelFor. Must not
+  /// be called from inside a pool task (the caller waits on futures
+  /// served by the same workers).
   void ParallelFor(int begin, int end, const std::function<void(int)>& fn);
 
  private:
@@ -67,24 +67,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(i) for every i in [begin, end) across up to `threads`
-/// workers (resolved via ResolveThreadCount). Iterations are claimed
-/// dynamically from a shared counter, so callers must make iterations
-/// independent: fn must not touch shared mutable state except through
-/// disjoint writes (e.g. element i of an output array). Blocks until
-/// every iteration finished; the first exception thrown by any
-/// iteration is rethrown on the calling thread after the join. With a
-/// resolved count of 1 (or end - begin <= 1) runs inline, in order.
-/// Spawns fresh worker threads per call; phases that run many times
-/// should prefer PooledParallelFor for warm workers.
-void ParallelFor(int begin, int end, int threads,
-                 const std::function<void(int)>& fn);
-
-/// True while the calling thread is executing inside a ThreadPool
-/// worker or a ParallelFor worker (including the calling thread's own
-/// participation in ParallelFor). Nested parallel sections use this to
-/// degrade to inline execution instead of deadlocking on their own
-/// pool or oversubscribing the machine.
+/// True on a ThreadPool worker thread. Nested parallel sections use
+/// this to degrade to inline execution instead of deadlocking on their
+/// own pool or oversubscribing the machine.
 bool OnWorkerThread();
 
 /// Process-wide cache of persistent pools, keyed by resolved worker
@@ -95,14 +80,18 @@ bool OnWorkerThread();
 /// "run inline" and never needs a pool).
 ThreadPool& SharedPool(int threads);
 
-/// Pool-backed ParallelFor with the same iteration contract as
-/// ParallelFor, but running on SharedPool(threads) so repeated phases
-/// reuse warm workers instead of respawning threads every call. Runs
-/// inline (serial, in order) when the resolved count is 1, the range
-/// has at most one element, or the caller is already on a worker
-/// thread (nested parallelism degrades to serial rather than blocking
-/// a worker on its own pool).
-void PooledParallelFor(int begin, int end, int threads,
-                       const std::function<void(int)>& fn);
+/// Runs fn(i) for every i in [begin, end) on SharedPool(threads)
+/// (resolved via ResolveThreadCount), so repeated phases reuse warm
+/// workers. Iterations are claimed dynamically from a shared counter,
+/// so callers must make iterations independent: fn must not touch
+/// shared mutable state except through disjoint writes (e.g. element i
+/// of an output array). Blocks until every iteration finished; an
+/// exception thrown by an iteration stops the claiming and is rethrown
+/// on the calling thread. Runs inline (serial, in order) when the
+/// resolved count is 1, the range has at most one element, or the
+/// caller is already on a worker thread (nested parallelism degrades
+/// to serial rather than blocking a worker on its own pool).
+void ParallelFor(int begin, int end, int threads,
+                 const std::function<void(int)>& fn);
 
 }  // namespace acobe

@@ -178,7 +178,7 @@ void AspectEnsemble::TrainAll(const std::vector<EnsembleTrainTask>& tasks,
   // Phase 1 — per-model setup: spec, checkpoint resume, and the size of
   // the batch still to train. Runs on the shared pool so its warm
   // workers carry straight into the training stream below.
-  PooledParallelFor(0, static_cast<int>(slots.size()), threads, [&](int si) {
+  ParallelFor(0, static_cast<int>(slots.size()), threads, [&](int si) {
     Slot& slot = slots[static_cast<std::size_t>(si)];
     const EnsembleTrainTask& task = *slot.task;
     AspectEnsemble& e = *task.ensemble;
@@ -425,7 +425,7 @@ ScoreGrid AspectEnsemble::Score(const SampleBuilder& builder, int n_users,
   const int n_days = last - first;
   // Pool-backed so scoring reuses the workers (and their thread-local
   // batch/scratch buffers) the training stream already warmed up.
-  PooledParallelFor(0, n_aspects * n_users, config_.threads, [&](int item) {
+  ParallelFor(0, n_aspects * n_users, config_.threads, [&](int item) {
     telemetry::TraceSpan item_span("ensemble.score_user");
     const int h = item / n_users;
     const int a = healthy[static_cast<std::size_t>(h)];

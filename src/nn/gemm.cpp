@@ -345,7 +345,7 @@ void BlockedGemm(std::size_t m, std::size_t k, std::size_t n, const float* pa,
     }
     const std::size_t rows_per_chunk = ichunks == 1 ? m : kRowChunk;
     ACOBE_COUNT("nn.gemm.parallel_calls", 1);
-    PooledParallelFor(
+    ParallelFor(
         0, static_cast<int>(panels * ichunks), threads, [&](int t) {
           const std::size_t p = static_cast<std::size_t>(t) / ichunks;
           const std::size_t ic = static_cast<std::size_t>(t) % ichunks;

@@ -116,7 +116,7 @@ void TrainStream(std::vector<TrainJob>& jobs, int threads) {
   // order and reuses its thread-local workspace across every job it
   // runs. Serially (one thread, or already on a worker) the same loop
   // runs the jobs one after another on this thread's workspace.
-  PooledParallelFor(0, static_cast<int>(jobs.size()), threads, [&jobs](int i) {
+  ParallelFor(0, static_cast<int>(jobs.size()), threads, [&jobs](int i) {
     RunJob(jobs[static_cast<std::size_t>(i)]);
   });
 }

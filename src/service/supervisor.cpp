@@ -65,6 +65,25 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+// The detection every shard cycle runs (mirrors acobe-detect's
+// streaming path). The thread count stays unset: training and scoring
+// run on the ACOBE_THREADS-sized shared pool, as in acobe-detect.
+DetectorSpec ServeSpec(const ServiceConfig& config) {
+  DetectorSpec spec;
+  spec.name = "acobe-serve";
+  spec.deviation.omega = config.omega;
+  spec.deviation.matrix_days = config.omega;
+  spec.ensemble.encoder_dims = {64, 32, 16, 8};
+  spec.ensemble.train.epochs = config.epochs;
+  spec.ensemble.train_stride = 2;
+  spec.ensemble.optimizer = OptimizerKind::kAdam;
+  spec.ensemble.learning_rate = 1e-3f;
+  spec.ensemble.seed = config.seed;
+  spec.ensemble.allow_degraded = true;
+  spec.critic_votes = config.votes;
+  return spec;
+}
+
 }  // namespace
 
 // Roster-derived immutable directory: the interning tables, the kept
@@ -214,6 +233,7 @@ ServiceSupervisor::ServiceSupervisor(ServiceConfig config)
         "service config requires window_days > train_days > omega >= 2");
   }
   if (config_.shards < 1) config_.shards = 1;
+  detector_ = std::make_unique<const Detector>(ServeSpec(config_));
 }
 
 ServiceSupervisor::~ServiceSupervisor() { StopWorkers(); }
@@ -913,27 +933,25 @@ ServiceSupervisor::ShardOutcome ServiceSupervisor::RunShardCycle(
       }
       for (const PackedEvent& e : shard.window) DeliverPacked(e, demux);
 
-      DetectorSpec spec;
-      spec.name = "acobe-serve";
-      spec.deviation.omega = config_.omega;
-      spec.deviation.matrix_days = config_.omega;
-      spec.ensemble.encoder_dims = {64, 32, 16, 8};
-      spec.ensemble.train.epochs = config_.epochs;
-      spec.ensemble.train_stride = 2;
-      spec.ensemble.optimizer = OptimizerKind::kAdam;
-      spec.ensemble.learning_rate = 1e-3f;
-      spec.ensemble.seed = config_.seed;
-      spec.ensemble.threads = 1;  // per-shard determinism
-      spec.ensemble.allow_degraded = true;
-      spec.critic_votes = config_.votes;
+      // One job graph per cycle: every department of the shard (never
+      // none: shards are capped at the department count) trains and
+      // scores together on the shared pool.
+      std::vector<DetectionGroup> groups;
+      for (int d = 0; d < demux.departments(); ++d) {
+        DetectionGroup group;
+        group.cube = &demux.extractor(d).cube();
+        group.members = shard.depts[static_cast<std::size_t>(d)].dept->members;
+        groups.push_back(std::move(group));
+      }
+      const std::vector<DetectionOutput> outs = detector_->RunGroups(
+          groups, demux.extractor(0).catalog(), /*train_begin=*/0,
+          /*train_end=*/config_.train_days, /*score_begin=*/score_begin,
+          /*score_end=*/win_len);
 
       for (int d = 0; d < demux.departments(); ++d) {
         ShardRuntime::DeptRuntime& rt = shard.depts[static_cast<std::size_t>(d)];
         const std::vector<UserId>& members = rt.dept->members;
-        DetectionOutput det = Detector(spec).Run(
-            demux.extractor(d).cube(), demux.extractor(d).catalog(), members,
-            /*train_begin=*/0, /*train_end=*/config_.train_days,
-            /*score_begin=*/score_begin, /*score_end=*/win_len);
+        const DetectionOutput& det = outs[static_cast<std::size_t>(d)];
 
         DeptCompute dc;
         dc.rt = &rt;

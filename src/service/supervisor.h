@@ -10,9 +10,10 @@
 // queues (service/queue.h) to per-shard workers; each worker maintains
 // a sliding multi-day event window, and when the batch advances the
 // window far enough to expose new scorable days, runs the full
-// ACOBE detection (representation -> ensemble -> critic) per
-// department, feeds the daily top lists into a persistent-alert
-// MonitorState, and reports closed alerts.
+// ACOBE detection (representation -> ensemble -> critic) over all of
+// its departments as one Detector::RunGroups job graph, feeds each
+// department's daily top lists into a persistent-alert MonitorState,
+// and reports closed alerts.
 //
 // Robustness properties, in the order they matter:
 //
@@ -39,10 +40,14 @@
 //       telemetry registry ("service.*").
 //
 // Threading: the caller's thread parses and commits; one worker thread
-// per shard computes. Workers only touch their own shard state, and
-// every main<->worker handoff goes through a mutex (the queue's, or
-// the shard's task/result mutex), so the whole plane is
-// ThreadSanitizer-clean by construction.
+// per shard owns that shard's window, monitors and retry state. Shards
+// isolate windows and failures, not compute: a shard's training and
+// scoring run on the process-wide shared pool (ACOBE_THREADS workers,
+// else hardware concurrency), which every shard feeds, and the output
+// is bit-identical at any pool size. Workers only touch their own
+// shard state, and every main<->worker handoff goes through a mutex
+// (the queue's, or the shard's task/result mutex), so the whole plane
+// is ThreadSanitizer-clean by construction.
 
 #include <atomic>
 #include <cstdint>
@@ -224,6 +229,8 @@ class ServiceSupervisor {
   bool recovered_ = false;
   bool started_ = false;
 
+  // Built once from config_; shard workers share it read-only.
+  std::unique_ptr<const class Detector> detector_;
   // Roster-derived, immutable after Start().
   std::unique_ptr<class ServiceDirectory> dir_;
   std::vector<std::unique_ptr<ShardRuntime>> shards_;

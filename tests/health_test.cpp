@@ -186,8 +186,8 @@ TEST_F(HealthTest, SpanProfileRecordsParentChildEdges) {
 TEST_F(HealthTest, SpanProfileSurvivesParallelWorkers) {
   telemetry::EnableMetrics(true);
   if (!telemetry::MetricsEnabled()) GTEST_SKIP() << "telemetry compiled out";
-  // Fresh worker threads claim and release span-stack slots; edges from
-  // every thread merge into one profile.
+  // Pool workers claim span-stack slots; edges from every thread merge
+  // into one profile.
   for (int round = 0; round < 3; ++round) {
     ParallelFor(0, 16, 4, [](int) {
       telemetry::TraceSpan span("test.profile_worker");

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -104,6 +106,61 @@ TEST(ParallelForTest, RethrowsIterationException) {
                     if (i == 13) throw std::runtime_error("boom");
                   }),
       std::runtime_error);
+}
+
+std::size_t LiveThreads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ParallelForTest, ShortSpansRunOnTheResolvedCountPool) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#endif
+  SharedPool(4).ParallelFor(0, 4, [](int) {});  // warm
+  const std::size_t baseline = LiveThreads();
+  // Neither a thread per call nor a pool per span: a span shorter than
+  // the thread count runs on the already-warm 4-worker pool.
+  for (int span : {2, 3}) {
+    std::vector<std::size_t> seen(static_cast<std::size_t>(span));
+    ParallelFor(0, span, 4, [&](int i) {
+      seen[static_cast<std::size_t>(i)] = LiveThreads();
+    });
+    for (int i = 0; i < span; ++i) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(i)], baseline)
+          << "span " << span << ", iteration " << i;
+    }
+  }
+  EXPECT_EQ(LiveThreads(), baseline);
+}
+
+TEST(ParallelForTest, NestedCallRunsInlineOnThePoolTask) {
+  constexpr int kIterations = 16;
+  std::thread::id task_thread;
+  std::vector<std::thread::id> ran_on(kIterations);
+  std::vector<int> order(kIterations, -1);
+  std::atomic<int> next(0);
+  SharedPool(4)
+      .Submit([&] {
+        task_thread = std::this_thread::get_id();
+        ParallelFor(0, kIterations, 4, [&](int i) {
+          // Slow enough that any other thread running iterations would
+          // claim some of them.
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+          order[static_cast<std::size_t>(i)] = next++;
+        });
+      })
+      .get();
+  for (int i = 0; i < kIterations; ++i) {
+    EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], task_thread) << i;
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);  // serial, in order
+  }
 }
 
 // --- Determinism of the parallel pipeline ---------------------------------

@@ -1,7 +1,8 @@
 // The resident service's building blocks: seeded backoff, bounded
 // admission queues (incl. producer/consumer threading), the CRC'd
-// cycle journal with its truncate-to-committed append logs, and the
-// incremental MonitorState drive matching the batch monitor.
+// cycle journal with its truncate-to-committed append logs, the
+// incremental MonitorState drive matching the batch monitor, and the
+// supervisor itself, drained in process at two pool sizes.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,14 +19,19 @@
 #include <thread>
 #include <vector>
 
+#include "common/date.h"
 #include "common/telemetry.h"
 #include "core/critic.h"
 #include "core/monitor.h"
 #include "core/score_grid.h"
+#include "logs/log_io.h"
+#include "logs/log_store.h"
 #include "service/cycle_stats.h"
 #include "service/journal.h"
 #include "service/queue.h"
 #include "service/retry.h"
+#include "service/supervisor.h"
+#include "simdata/cert_simulator.h"
 
 using namespace acobe;
 
@@ -624,6 +631,129 @@ TEST(MonitorStateTest, CorruptSnapshotThrows) {
   EXPECT_THROW(MonitorState::Load(in), std::runtime_error);
   std::istringstream empty("");
   EXPECT_THROW(MonitorState::Load(empty), std::runtime_error);
+}
+
+// --- The supervisor in process ---------------------------------------------
+
+// Writes a small CERT-layout dataset under `dir`: ldap.csv and 4-day
+// batch directories (READY markers are left to the caller), returned in
+// release order. 4 departments of 6 users, so two shards own two
+// departments each.
+std::vector<fs::path> WriteServeDataset(const TempDir& dir) {
+  sim::CertSimConfig config;
+  config.org.departments = 4;
+  config.org.users_per_department = 6;
+  config.org.extra_users = 0;
+  config.start = Date(2010, 1, 4);
+  config.end = Date(2010, 2, 14);
+  config.profiles.rate_scale = 0.3;
+  config.seed = 5;
+  LogStore store;
+  sim::CertSimulator simulator(config, store);
+  simulator.InjectScenario(sim::InsiderScenarioKind::kScenario1, 1,
+                           Date(2010, 2, 1), 6);
+  simulator.Run(store);
+  store.SortChronologically();
+  {
+    std::ofstream roster(dir.file("ldap.csv"));
+    WriteLdapCsv(store, roster);
+  }
+  using Writer = void (*)(const LogStore&, std::ostream&);
+  const std::pair<const char*, Writer> streams[] = {
+      {"device.csv", WriteDeviceCsv},
+      {"file.csv", WriteFileCsv},
+      {"http.csv", WriteHttpCsv},
+      {"logon.csv", WriteLogonCsv}};
+  std::vector<fs::path> batches;
+  for (const auto& [name, write] : streams) {
+    std::ostringstream csv;
+    write(store, csv);
+    std::istringstream lines(csv.str());
+    std::string header, line;
+    std::getline(lines, header);
+    std::vector<std::string> rows_of_batch;
+    while (std::getline(lines, line)) {
+      const std::int64_t day = std::stoll(line) / 86400;
+      const auto b =
+          static_cast<std::size_t>(day - config.start.DayNumber()) / 4;
+      if (rows_of_batch.size() <= b) rows_of_batch.resize(b + 1);
+      rows_of_batch[b] += line + "\n";
+    }
+    for (std::size_t b = batches.size(); b < rows_of_batch.size(); ++b) {
+      batches.push_back(dir.file("staging/batch-" + std::to_string(100 + b)));
+    }
+    rows_of_batch.resize(batches.size());
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      fs::create_directories(batches[b]);
+      std::ofstream(batches[b] / name) << header << "\n" << rows_of_batch[b];
+    }
+  }
+  return batches;
+}
+
+struct DrainOutput {
+  std::string alerts;
+  std::string ledger;
+  std::size_t departments_scored = 0;
+};
+
+// One uninterrupted drain of every batch, with ACOBE_THREADS set to
+// `threads` (shared pools are keyed by count, so each setting gets its
+// own pool).
+DrainOutput Drain(const TempDir& data, const std::vector<fs::path>& batches,
+                  const char* threads) {
+  setenv("ACOBE_THREADS", threads, 1);
+  TempDir run;
+  const fs::path watch = run.file("watch");
+  fs::create_directories(watch);
+  for (const fs::path& batch : batches) {
+    fs::copy(batch, watch / batch.filename(), fs::copy_options::recursive);
+    std::ofstream(watch / batch.filename() / "READY");
+  }
+  ServiceConfig config;
+  config.watch_dir = watch.string();
+  config.out_dir = run.file("out");
+  config.roster_path = data.file("ldap.csv");
+  config.window_days = 14;
+  config.train_days = 8;
+  config.omega = 3;
+  config.epochs = 1;
+  config.top_positions = 2;
+  config.shards = 2;
+  DrainOutput out;
+  {
+    ServiceSupervisor supervisor(config);
+    supervisor.Start();
+    for (const CycleReport& report : supervisor.ProcessAvailableBatches()) {
+      out.departments_scored += report.departments_scored;
+    }
+    supervisor.Finish("drained");
+  }
+  unsetenv("ACOBE_THREADS");
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  out.alerts = slurp(run.file("out/alerts.jsonl"));
+  out.ledger = slurp(run.file("out/ledger.jsonl"));
+  return out;
+}
+
+TEST(ServiceSupervisorTest, DrainIsByteIdenticalAtAnyPoolSize) {
+  TempDir data;
+  const std::vector<fs::path> batches = WriteServeDataset(data);
+  const DrainOutput serial = Drain(data, batches, "1");
+  const DrainOutput pooled = Drain(data, batches, "4");
+  // Not vacuous: cycles scored departments and closed alerts.
+  EXPECT_GE(serial.departments_scored, 4u);
+  EXPECT_FALSE(serial.alerts.empty());
+  EXPECT_NE(serial.ledger.find("\"event\": \"detection\""),
+            std::string::npos);
+  EXPECT_EQ(pooled.departments_scored, serial.departments_scored);
+  EXPECT_EQ(pooled.alerts, serial.alerts);
+  EXPECT_EQ(pooled.ledger, serial.ledger);
 }
 
 }  // namespace

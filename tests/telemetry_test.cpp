@@ -154,8 +154,8 @@ TEST_F(TelemetryTest, TraceSpansCarryWorkerThreadAttribution) {
   EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
   EXPECT_NE(json.find("\"test.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  // The ParallelFor workers are fresh threads, so inner spans must land
-  // on at least two distinct tids alongside the caller's.
+  // The inner spans run on shared-pool workers, so the trace must carry
+  // at least two distinct tids: the caller's and a worker's.
   std::vector<int> tids;
   for (std::size_t pos = json.find("\"tid\": "); pos != std::string::npos;
        pos = json.find("\"tid\": ", pos + 1)) {

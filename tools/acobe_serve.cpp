@@ -91,7 +91,9 @@ void Usage() {
       "  --persistence-days=N  days of firing that open an alert (default 2)\n"
       "  --cooloff-days=N    quiet days that close an alert (default 2)\n"
       "  --min-dept-users=N  skip smaller departments (default 3)\n"
-      "  --shards=N          worker shards (default 2, capped at #depts)\n"
+      "  --shards=N          worker shards isolating windows and failures\n"
+      "                      (default 2, capped at #depts); training shares\n"
+      "                      the ACOBE_THREADS pool\n"
       "  --queue-rows=N      admission queue cap in events (default 65536)\n"
       "  --queue-mb=N        admission queue cap in MiB (default 64)\n"
       "  --admission=P       block (lossless, bit-identical restarts) or\n"

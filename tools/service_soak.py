@@ -10,7 +10,9 @@ interrupted. This harness proves it the blunt way:
   2. split it into day-range batch directories under a watch dir,
      with the READY marker written last (the daemon's admission rule),
   3. reference run: one uninterrupted `acobe_serve --drain` over all
-     batches,
+     batches, run twice — with ACOBE_THREADS=1 and with the inherited
+     thread count — and the two outputs must be byte-identical (shards
+     share one training pool, so the pool size must not show),
   4. soak run: release the same batches one at a time into a second
      watch dir; before letting each batch complete, start the daemon
      and SIGKILL it after a seeded random delay (landing the kill in
@@ -71,9 +73,9 @@ def fail(msg):
     sys.exit(1)
 
 
-def run_checked(argv, what):
+def run_checked(argv, what, env=None):
     proc = subprocess.run(argv, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE)
+                          stderr=subprocess.PIPE, env=env)
     if proc.returncode != 0:
         fail(f"{what} exited {proc.returncode}:\n"
              f"{proc.stderr.decode(errors='replace')[-2000:]}")
@@ -153,9 +155,11 @@ def main():
     staging = os.path.join(workdir, "staging")
     ref_watch = os.path.join(workdir, "ref_watch")
     ref_out = os.path.join(workdir, "ref_out")
+    serial_out = os.path.join(workdir, "serial_out")
     soak_watch = os.path.join(workdir, "soak_watch")
     soak_out = os.path.join(workdir, "soak_out")
-    for d in (data, staging, ref_watch, ref_out, soak_watch, soak_out):
+    for d in (data, staging, ref_watch, ref_out, serial_out, soak_watch,
+              soak_out):
         os.makedirs(d)
 
     log("generating dataset")
@@ -176,6 +180,19 @@ def main():
     for name in ("alerts.jsonl", "ledger.jsonl"):
         if not os.path.exists(os.path.join(ref_out, name)):
             fail(f"reference run produced no {name}")
+
+    log("serial reference run (ACOBE_THREADS=1)")
+    run_checked(serve_argv(args.serve, ref_watch, serial_out),
+                "serial acobe_serve", env=dict(os.environ, ACOBE_THREADS="1"))
+    for name in ("alerts.jsonl", "ledger.jsonl"):
+        with open(os.path.join(ref_out, name), "rb") as fh:
+            pooled = fh.read()
+        with open(os.path.join(serial_out, name), "rb") as fh:
+            serial = fh.read()
+        if pooled != serial:
+            fail(f"{name} differs between ACOBE_THREADS=1 and the default "
+                 f"thread count")
+    log("reference output byte-identical at ACOBE_THREADS=1")
 
     rng = random.Random(args.seed)
     kills = 0
