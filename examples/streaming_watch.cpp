@@ -1,8 +1,9 @@
-// Streaming watch: train the ensemble once, persist it, then replay the
-// following weeks day by day as an operator would — reload the model,
-// score the new day, and let the persistent-alert monitor deduplicate
-// daily firings into actionable alerts (with waveform context from the
-// advanced critic).
+// Streaming watch: train the ensemble once, persist it as per-aspect
+// checkpoints and reload it without retraining (EnsembleConfig's
+// checkpoint_dir + resume, the one model file format), then replay the
+// following weeks day by day as an operator would — score the new day,
+// and let the persistent-alert monitor deduplicate daily firings into
+// actionable alerts (with waveform context from the advanced critic).
 //
 // Run:  ./build/examples/streaming_watch
 
@@ -11,7 +12,7 @@
 
 #include "baselines/experiment.h"
 #include "core/detector.h"
-#include "core/ensemble_io.h"
+#include "core/ensemble.h"
 #include "core/monitor.h"
 #include "core/waveform_critic.h"
 
@@ -52,20 +53,29 @@ int main() {
       data.department_users[0], w.train_begin, w.train_end, w.test_begin,
       w.test_end);
 
-  // Persist + reload a standalone ensemble to show the operator loop
-  // does not need the training data around.
+  // Train a standalone ensemble once into a checkpoint directory, then
+  // reload it without retraining: a second Train with `resume` loads
+  // every aspect's checkpoint and reads no training samples.
   {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "acobe_streaming_watch";
+    std::filesystem::remove_all(dir);
     EnsembleConfig ecfg;
     ecfg.encoder_dims = {16, 8};
     ecfg.train.epochs = 4;
-    AspectEnsemble small(data.fine->catalog().aspects(), ecfg);
+    ecfg.checkpoint_dir = dir.string();
     NormalizedDayBuilder nd(&data.fine->cube(), w.train_begin, w.train_end);
+    AspectEnsemble small(data.fine->catalog().aspects(), ecfg);
     small.Train(nd, 5, w.train_begin, w.train_end);
-    const std::string path = "/tmp/acobe_ensemble.bin";
-    SaveEnsembleFile(small, path);
-    AspectEnsemble reloaded = LoadEnsembleFile(path);
-    std::filesystem::remove(path);
-    std::printf("ensemble save/load ok (%d aspects)\n",
+    ecfg.resume = true;
+    AspectEnsemble reloaded(data.fine->catalog().aspects(), ecfg);
+    reloaded.Train(nd, 5, w.train_begin, w.train_end);
+    int resumed = 0;
+    for (const AspectTrainSummary& s : reloaded.train_summaries()) {
+      resumed += s.resumed ? 1 : 0;
+    }
+    std::filesystem::remove_all(dir);
+    std::printf("checkpoint reload ok (%d of %d aspects resumed)\n", resumed,
                 reloaded.aspect_count());
   }
 

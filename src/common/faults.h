@@ -11,7 +11,9 @@
 //     recovery in the CSV readers (src/logs/log_io.h),
 //   - IngestError carries file:line context for the offending row,
 //   - Crc32 / WriteFileAtomic make artifact writes crash-safe and
-//     corruption detectable (src/nn/serialize.h, src/core/ensemble_io.h),
+//     corruption detectable (model checkpoints in src/nn/serialize.h,
+//     monitor snapshots and the service journal; their bytes go
+//     through src/common/codec.h),
 //   - the kExit* codes standardize tool failure paths.
 
 #include <cstddef>

@@ -70,28 +70,6 @@ AspectEnsemble::AspectEnsemble(std::vector<AspectGroup> aspects,
   }
 }
 
-AspectEnsemble AspectEnsemble::FromTrainedModels(
-    std::vector<AspectGroup> aspects, EnsembleConfig config,
-    std::vector<nn::Sequential> models,
-    std::vector<nn::AutoencoderSpec> specs) {
-  if (models.size() != aspects.size() || specs.size() != aspects.size()) {
-    throw std::invalid_argument(
-        "AspectEnsemble::FromTrainedModels: size mismatch");
-  }
-  AspectEnsemble ensemble(std::move(aspects), std::move(config));
-  ensemble.models_ = std::move(models);
-  ensemble.specs_ = std::move(specs);
-  ensemble.aspect_ok_.assign(ensemble.aspects_.size(), 1);
-  ensemble.summaries_.assign(ensemble.aspects_.size(), AspectTrainSummary{});
-  for (std::size_t a = 0; a < ensemble.aspects_.size(); ++a) {
-    ensemble.summaries_[a].name = ensemble.aspects_[a].name;
-    ensemble.summaries_[a].resumed = true;  // loaded, not trained here
-    ensemble.summaries_[a].ok = true;
-  }
-  ensemble.trained_ = true;
-  return ensemble;
-}
-
 bool AspectEnsemble::degraded() const {
   return trained_ && healthy_aspect_count() != aspect_count();
 }
@@ -315,10 +293,15 @@ void AspectEnsemble::TrainAll(const std::vector<EnsembleTrainTask>& tasks,
           on_epoch(aspect.name, s);
         }
       };
-      // Checkpoint as soon as the model is trained, on its worker: a
+      // Free the optimizer state (Adam keeps two moments per parameter)
+      // and checkpoint as soon as the model is trained, on its worker: a
+      // job graph holds the state of only the jobs still running, and a
       // killed run restarts from every model finished so far.
-      job.on_done = [&e, a, &live_batches](nn::TrainJob& done) {
+      job.on_done = [&e, a, &live_batches, &optimizers,
+                     i](nn::TrainJob& done) {
         --live_batches;
+        optimizers[i].reset();
+        done.optimizer = nullptr;
         if (done.diverged) return;
         if (!e.config_.checkpoint_dir.empty()) {
           const std::string ckpt =

@@ -63,7 +63,10 @@ struct EnsembleConfig {
   /// and reproduces the uninterrupted result bit-exactly. A corrupt or
   /// truncated checkpoint is discarded and retrained; a checkpoint
   /// whose architecture mismatches the config throws CheckpointMismatch
-  /// (the directory belongs to a different run configuration).
+  /// (the directory belongs to a different run configuration). The
+  /// directory is also how a trained ensemble is persisted: train once,
+  /// and a later Train with `resume` loads every aspect instead of
+  /// retraining it.
   std::string checkpoint_dir;
   bool resume = false;
 };
@@ -77,7 +80,7 @@ struct CheckpointMismatch : std::runtime_error {
 
 /// How one aspect's model came to be — provenance for the run ledger's
 /// "aspect_trained" events. Filled by Train() (one entry per aspect,
-/// aspect order) and by FromTrainedModels (marked resumed).
+/// aspect order).
 struct AspectTrainSummary {
   std::string name;
   /// Training attempts consumed (divergence retries included); 0 when
@@ -161,13 +164,6 @@ class AspectEnsemble {
   const std::vector<AspectTrainSummary>& train_summaries() const {
     return summaries_;
   }
-
-  /// Reassembles a trained ensemble from persisted parts (used by
-  /// LoadEnsemble); models must match `aspects` pairwise.
-  static AspectEnsemble FromTrainedModels(
-      std::vector<AspectGroup> aspects, EnsembleConfig config,
-      std::vector<nn::Sequential> models,
-      std::vector<nn::AutoencoderSpec> specs);
 
  private:
   nn::Tensor AssembleBatchForDays(const SampleBuilder& builder,

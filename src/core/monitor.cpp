@@ -1,11 +1,11 @@
 #include "core/monitor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
+#include "common/codec.h"
 #include "common/faults.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -20,57 +20,7 @@ constexpr std::uint32_t kMonitorVersion = 1;
 // with long aspect names stays far under this.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
-void PutI32(std::string& buf, std::int32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU32(std::string& buf, std::uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutF32(std::string& buf, float v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutStr(std::string& buf, const std::string& s) {
-  PutU32(buf, static_cast<std::uint32_t>(s.size()));
-  buf.append(s);
-}
-
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string payload) : payload_(std::move(payload)) {}
-
-  std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
-  std::uint32_t U32() {
-    std::uint32_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  float F32() {
-    float v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  std::string Str() {
-    const std::uint32_t n = U32();
-    if (n > payload_.size() - pos_) Fail();
-    std::string s = payload_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  bool AtEnd() const { return pos_ == payload_.size(); }
-
- private:
-  void Raw(void* dst, std::size_t n) {
-    if (n > payload_.size() - pos_) Fail();
-    std::memcpy(dst, payload_.data() + pos_, n);
-    pos_ += n;
-  }
-  [[noreturn]] static void Fail() {
-    throw std::runtime_error("MonitorState: truncated payload");
-  }
-
-  std::string payload_;
-  std::size_t pos_ = 0;
-};
+constexpr const char* kTruncatedArtifact = "MonitorState: truncated artifact";
 
 }  // namespace
 
@@ -173,50 +123,53 @@ std::vector<Alert> MonitorState::OpenAlerts() const {
 }
 
 void MonitorState::Save(std::ostream& out) const {
-  std::string payload;
-  PutI32(payload, config_.n_votes);
-  PutI32(payload, config_.top_positions);
-  PutI32(payload, config_.persistence_days);
-  PutI32(payload, config_.cooloff_days);
-  PutI32(payload, last_day_ == kNoDay ? -1 : 0);
-  PutI32(payload, last_day_ == kNoDay ? 0 : last_day_);
-  PutU32(payload, static_cast<std::uint32_t>(tracking_.size()));
+  ByteWriter payload;
+  payload.I32(config_.n_votes);
+  payload.I32(config_.top_positions);
+  payload.I32(config_.persistence_days);
+  payload.I32(config_.cooloff_days);
+  payload.I32(last_day_ == kNoDay ? -1 : 0);
+  payload.I32(last_day_ == kNoDay ? 0 : last_day_);
+  payload.U32(static_cast<std::uint32_t>(tracking_.size()));
   auto put_peak = [&](const PeakTrack& p) {
-    PutF32(payload, p.score);
-    PutI32(payload, p.day);
-    PutStr(payload, p.aspect);
+    payload.F32(p.score);
+    payload.I32(p.day);
+    payload.U32(static_cast<std::uint32_t>(p.aspect.size()));
+    payload.Bytes(p.aspect);
   };
   for (const Tracking& t : tracking_) {
-    PutI32(payload, t.streak);
-    PutI32(payload, t.quiet);
-    PutU32(payload, t.open ? 1 : 0);
-    PutI32(payload, t.alert.user_idx);
-    PutI32(payload, t.alert.first_day);
-    PutI32(payload, t.alert.last_day);
-    PutI32(payload, t.alert.firing_days);
-    PutI32(payload, t.alert.peak_day);
-    PutI32(payload, t.alert.peak_aspect);
-    PutF32(payload, t.alert.peak_score);
-    PutStr(payload, t.alert.peak_aspect_name);
+    payload.I32(t.streak);
+    payload.I32(t.quiet);
+    payload.U32(t.open ? 1 : 0);
+    payload.I32(t.alert.user_idx);
+    payload.I32(t.alert.first_day);
+    payload.I32(t.alert.last_day);
+    payload.I32(t.alert.firing_days);
+    payload.I32(t.alert.peak_day);
+    payload.I32(t.alert.peak_aspect);
+    payload.F32(t.alert.peak_score);
+    payload.U32(static_cast<std::uint32_t>(t.alert.peak_aspect_name.size()));
+    payload.Bytes(t.alert.peak_aspect_name);
     put_peak(t.streak_peak);
     put_peak(t.pending_peak);
   }
 
-  std::string header;
-  PutU32(header, kMonitorMagic);
-  PutU32(header, kMonitorVersion);
-  PutU32(header, static_cast<std::uint32_t>(payload.size()));
-  const std::uint32_t crc = Crc32(payload);
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  ByteWriter frame;
+  frame.U32(kMonitorMagic);
+  frame.U32(kMonitorVersion);
+  frame.U32(static_cast<std::uint32_t>(payload.str().size()));
+  frame.Bytes(payload.str());
+  frame.U32(Crc32(payload.str()));
+  out.write(frame.str().data(),
+            static_cast<std::streamsize>(frame.str().size()));
   if (!out) throw std::runtime_error("MonitorState: write failed");
 }
 
 MonitorState MonitorState::Load(std::istream& in) {
   std::uint32_t header[3] = {};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in || header[0] != kMonitorMagic) {
+  ReadExact(in, header, sizeof(header),
+            "MonitorState: bad magic (not a monitor state)");
+  if (header[0] != kMonitorMagic) {
     throw std::runtime_error("MonitorState: bad magic (not a monitor state)");
   }
   if (header[1] != kMonitorVersion) {
@@ -227,15 +180,14 @@ MonitorState MonitorState::Load(std::istream& in) {
     throw std::runtime_error("MonitorState: implausible payload size");
   }
   std::string payload(header[2], '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
+  ReadExact(in, payload.data(), payload.size(), kTruncatedArtifact);
   std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!in) throw std::runtime_error("MonitorState: truncated artifact");
+  ReadExact(in, &crc, sizeof(crc), kTruncatedArtifact);
   if (Crc32(payload) != crc) {
     throw std::runtime_error("MonitorState: CRC mismatch (corrupt artifact)");
   }
 
-  PayloadReader r(std::move(payload));
+  ByteReader<> r(payload, "MonitorState: truncated payload");
   MonitorConfig config;
   config.n_votes = r.I32();
   config.top_positions = r.I32();
@@ -253,7 +205,7 @@ MonitorState MonitorState::Load(std::istream& in) {
   auto get_peak = [&](PeakTrack& p) {
     p.score = r.F32();
     p.day = r.I32();
-    p.aspect = r.Str();
+    p.aspect = r.Bytes(r.U32());
   };
   for (Tracking& t : state.tracking_) {
     t.streak = r.I32();
@@ -266,7 +218,7 @@ MonitorState MonitorState::Load(std::istream& in) {
     t.alert.peak_day = r.I32();
     t.alert.peak_aspect = r.I32();
     t.alert.peak_score = r.F32();
-    t.alert.peak_aspect_name = r.Str();
+    t.alert.peak_aspect_name = r.Bytes(r.U32());
     get_peak(t.streak_peak);
     get_peak(t.pending_peak);
   }
@@ -295,13 +247,14 @@ std::vector<Alert> FindPersistentAlerts(const ScoreGrid& grid,
             [](const Alert& a, const Alert& b) {
               return a.first_day < b.first_day;
             });
-  // Peak provenance over each alert's span; ties resolve to the
-  // earliest day then lowest aspect index, deterministically.
+  // Peak provenance over each alert's span, scanned day-major so ties
+  // resolve to the earliest day then the lowest aspect index — the
+  // order MonitorState's incremental path (the daemon's) produces.
   for (Alert& alert : alerts) {
     alert.peak_day = alert.first_day;
     alert.peak_score = -1.0f;
-    for (int a = 0; a < grid.aspects(); ++a) {
-      for (int d = alert.first_day; d <= alert.last_day; ++d) {
+    for (int d = alert.first_day; d <= alert.last_day; ++d) {
+      for (int a = 0; a < grid.aspects(); ++a) {
         const float s = grid.At(a, alert.user_idx, d);
         if (s > alert.peak_score) {
           alert.peak_score = s;

@@ -8,8 +8,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "common/codec.h"
 #include "common/faults.h"
 
 namespace acobe {
@@ -19,95 +19,46 @@ constexpr char kJournalMagic[4] = {'A', 'C', 'J', 'L'};
 constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::uint64_t kMaxPayload = 1u << 30;
 
-void PutU32(std::string& buf, std::uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string& buf, std::uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutI64(std::string& buf, std::int64_t v) {
-  PutU64(buf, static_cast<std::uint64_t>(v));
-}
-void PutStr(std::string& buf, const std::string& s) {
-  PutU64(buf, s.size());
-  buf.append(s);
-}
-
-class Reader {
- public:
-  explicit Reader(std::string payload) : payload_(std::move(payload)) {}
-
-  std::uint32_t U32() {
-    std::uint32_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t U64() {
-    std::uint64_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  std::string Str() {
-    const std::uint64_t n = U64();
-    if (n > payload_.size() - pos_) Fail();
-    std::string s = payload_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  bool AtEnd() const { return pos_ == payload_.size(); }
-
- private:
-  void Raw(void* dst, std::size_t n) {
-    if (n > payload_.size() - pos_) Fail();
-    std::memcpy(dst, payload_.data() + pos_, n);
-    pos_ += n;
-  }
-  [[noreturn]] static void Fail() {
-    throw JournalError("journal: truncated payload");
-  }
-
-  std::string payload_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 void SaveJournal(const std::string& path, const JournalState& state) {
-  std::string payload;
-  PutU64(payload, state.config_fingerprint);
-  PutU64(payload, state.cycle);
-  PutU64(payload, state.alerts_bytes);
-  PutU64(payload, state.alerts_count);
-  PutU64(payload, state.ledger_bytes);
-  PutI64(payload, state.last_scored_day);
-  PutU64(payload, state.batches.size());
+  ByteWriter payload;
+  payload.U64(state.config_fingerprint);
+  payload.U64(state.cycle);
+  payload.U64(state.alerts_bytes);
+  payload.U64(state.alerts_count);
+  payload.U64(state.ledger_bytes);
+  payload.I64(state.last_scored_day);
+  payload.U64(state.batches.size());
   for (const BatchRecord& b : state.batches) {
-    PutStr(payload, b.name);
-    PutU32(payload, b.digest);
-    PutI64(payload, b.day_lo);
-    PutI64(payload, b.day_hi);
+    payload.U64(b.name.size());
+    payload.Bytes(b.name);
+    payload.U32(b.digest);
+    payload.I64(b.day_lo);
+    payload.I64(b.day_hi);
   }
-  PutU64(payload, state.shards.size());
+  payload.U64(state.shards.size());
   for (const ShardRecord& s : state.shards) {
-    PutU32(payload, s.quarantined ? 1 : 0);
-    PutU32(payload, s.failures);
+    payload.U32(s.quarantined ? 1 : 0);
+    payload.U32(s.failures);
   }
-  PutU64(payload, state.monitors.size());
+  payload.U64(state.monitors.size());
   for (const auto& [dept, blob] : state.monitors) {
-    PutStr(payload, dept);
-    PutStr(payload, blob);
+    payload.U64(dept.size());
+    payload.Bytes(dept);
+    payload.U64(blob.size());
+    payload.Bytes(blob);
   }
 
-  const std::uint32_t crc = Crc32(payload);
+  ByteWriter frame;
+  frame.Raw(kJournalMagic, sizeof(kJournalMagic));
+  frame.U32(kJournalVersion);
+  frame.U64(payload.str().size());
+  frame.Bytes(payload.str());
+  frame.U32(Crc32(payload.str()));
   WriteFileAtomic(path, [&](std::ostream& out) {
-    out.write(kJournalMagic, sizeof(kJournalMagic));
-    const std::uint32_t version = kJournalVersion;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    const std::uint64_t size = payload.size();
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    out.write(frame.str().data(),
+              static_cast<std::streamsize>(frame.str().size()));
   });
 }
 
@@ -118,14 +69,15 @@ std::optional<JournalState> LoadJournal(const std::string& path) {
     if (!std::filesystem::exists(path, ec)) return std::nullopt;
     throw JournalError("journal: cannot open " + path);
   }
+  const std::string bad_magic = "journal: bad magic in " + path;
   char magic[4] = {};
   std::uint32_t version = 0;
   std::uint64_t size = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  if (!in || std::memcmp(magic, kJournalMagic, sizeof(magic)) != 0) {
-    throw JournalError("journal: bad magic in " + path);
+  ReadExact<JournalError>(in, magic, sizeof(magic), bad_magic);
+  ReadExact<JournalError>(in, &version, sizeof(version), bad_magic);
+  ReadExact<JournalError>(in, &size, sizeof(size), bad_magic);
+  if (std::memcmp(magic, kJournalMagic, sizeof(magic)) != 0) {
+    throw JournalError(bad_magic);
   }
   if (version != kJournalVersion) {
     throw JournalError("journal: unsupported version " +
@@ -134,16 +86,16 @@ std::optional<JournalState> LoadJournal(const std::string& path) {
   if (size > kMaxPayload) {
     throw JournalError("journal: implausible payload size");
   }
+  const std::string truncated = "journal: truncated " + path;
   std::string payload(static_cast<std::size_t>(size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
+  ReadExact<JournalError>(in, payload.data(), payload.size(), truncated);
   std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!in) throw JournalError("journal: truncated " + path);
+  ReadExact<JournalError>(in, &crc, sizeof(crc), truncated);
   if (Crc32(payload) != crc) {
     throw JournalError("journal: CRC mismatch in " + path);
   }
 
-  Reader r(std::move(payload));
+  ByteReader<JournalError> r(payload, "journal: truncated payload");
   JournalState state;
   state.config_fingerprint = r.U64();
   state.cycle = r.U64();
@@ -157,7 +109,7 @@ std::optional<JournalState> LoadJournal(const std::string& path) {
   }
   state.batches.resize(static_cast<std::size_t>(n_batches));
   for (BatchRecord& b : state.batches) {
-    b.name = r.Str();
+    b.name = r.Bytes(r.U64());
     b.digest = r.U32();
     b.day_lo = r.I64();
     b.day_hi = r.I64();
@@ -177,8 +129,8 @@ std::optional<JournalState> LoadJournal(const std::string& path) {
   }
   state.monitors.resize(static_cast<std::size_t>(n_monitors));
   for (auto& [dept, blob] : state.monitors) {
-    dept = r.Str();
-    blob = r.Str();
+    dept = r.Bytes(r.U64());
+    blob = r.Bytes(r.U64());
   }
   if (!r.AtEnd()) throw JournalError("journal: trailing bytes");
   return state;

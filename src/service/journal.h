@@ -21,8 +21,10 @@
 // are byte-identical to an uninterrupted run — the property the
 // service-soak harness enforces with ≥10 seeded kill points.
 //
-// The journal framing matches the PR 4 checkpoint artifacts: magic,
-// version, length-prefixed payload, trailing CRC-32.
+// The journal frame ("ACJL", u32 version, u64 payload size, payload,
+// trailing CRC-32 of the payload) is written and read through the
+// shared codec (common/codec.h), like the checkpoints and monitor
+// snapshots.
 
 #include <cstdint>
 #include <optional>

@@ -1,4 +1,5 @@
-// Unit tests for src/common: dates, time frames, RNG, CSV, stats.
+// Unit tests for src/common: dates, time frames, RNG, CSV, CRC and
+// binary codec, atomic writes, stats.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/codec.h"
 #include "common/csv.h"
 #include "common/date.h"
 #include "common/faults.h"
@@ -342,6 +344,55 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const std::uint32_t clean = Crc32(data);
   data[100] = static_cast<char>(data[100] ^ 0x10);
   EXPECT_NE(Crc32(data), clean);
+}
+
+// --- Binary codec -----------------------------------------------------------
+
+struct CodecError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+TEST(CodecTest, ReaderReturnsWhatTheWriterWrote) {
+  ByteWriter w;
+  w.U32(0xDEADBEEFu);
+  w.I32(-7);
+  w.U64(1ull << 40);
+  w.I64(-(1ll << 40));
+  w.F32(0.375f);
+  w.Bytes("abc");
+  ByteReader<> r(w.str(), "overrun");
+  EXPECT_EQ(r.U32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.I32(), -7);
+  EXPECT_EQ(r.U64(), 1ull << 40);
+  EXPECT_EQ(r.I64(), -(1ll << 40));
+  EXPECT_EQ(r.F32(), 0.375f);
+  EXPECT_EQ(r.Bytes(3), "abc");
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(CodecTest, OverrunThrowsTheCallersErrorAndConsumesNothing) {
+  ByteWriter w;
+  w.U32(5);
+  ByteReader<CodecError> r(w.str(), "codec test: overrun");
+  EXPECT_THROW(r.U64(), CodecError);
+  // A hostile length is refused before anything is allocated or read.
+  EXPECT_THROW(r.Bytes(~0ull), CodecError);
+  EXPECT_EQ(r.remaining(), 4u);
+  EXPECT_EQ(r.U32(), 5u);
+  try {
+    r.U32();
+    ADD_FAILURE() << "read past the end";
+  } catch (const CodecError& e) {
+    EXPECT_STREQ(e.what(), "codec test: overrun");
+  }
+}
+
+TEST(CodecTest, ReadExactThrowsOnAShortStream) {
+  std::istringstream in(std::string("\x01\x00\x00\x00\x02", 5));
+  std::uint32_t v = 0;
+  ReadExact<CodecError>(in, &v, sizeof(v), "short");
+  EXPECT_EQ(v, 1u);
+  EXPECT_THROW(ReadExact<CodecError>(in, &v, sizeof(v), "short"), CodecError);
 }
 
 // --- WriteFileAtomic --------------------------------------------------------

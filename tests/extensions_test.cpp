@@ -1,77 +1,16 @@
-// Tests for the extension modules: ensemble persistence, the
-// waveform-aware advanced critic (the paper's Section VII.B future
-// work), the operational monitor, and the discrete-event sequence
-// model (Section VI.B.1).
+// Tests for the extension modules: the waveform-aware advanced critic
+// (the paper's Section VII.B future work), the operational monitor, and
+// the discrete-event sequence model (Section VI.B.1).
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "behavior/normalized_day.h"
-#include "core/ensemble_io.h"
+#include "common/rng.h"
 #include "core/monitor.h"
 #include "core/waveform_critic.h"
 #include "features/sequence_model.h"
 
 namespace acobe {
 namespace {
-
-const Date kStart(2010, 1, 4);
-
-// --- Ensemble persistence ------------------------------------------------
-
-MeasurementCube ToyCube(int users, int days) {
-  MeasurementCube cube(kStart, days, 2, 1);
-  Rng rng(51);
-  for (int u = 0; u < users; ++u) {
-    cube.RegisterUser(100 + u);
-    for (int d = 0; d < days; ++d) {
-      cube.At(u, 0, d, 0) = static_cast<float>(rng.NextPoisson(5.0));
-      cube.At(u, 1, d, 0) = static_cast<float>(rng.NextPoisson(2.0));
-    }
-  }
-  return cube;
-}
-
-TEST(EnsembleIoTest, RoundTripReproducesScores) {
-  MeasurementCube cube = ToyCube(5, 30);
-  NormalizedDayBuilder builder(&cube, 0, 20);
-  FeatureCatalog catalog({{"f0", "x", 1.0}, {"f1", "y", 1.0}});
-  EnsembleConfig cfg;
-  cfg.encoder_dims = {8, 4};
-  cfg.train.epochs = 5;
-  cfg.seed = 3;
-  AspectEnsemble ensemble(catalog.aspects(), cfg);
-  ensemble.Train(builder, 5, 0, 20);
-  const ScoreGrid before = ensemble.Score(builder, 5, 20, 30);
-
-  std::stringstream ss;
-  SaveEnsemble(ensemble, ss);
-  AspectEnsemble loaded = LoadEnsemble(ss);
-  EXPECT_TRUE(loaded.trained());
-  EXPECT_EQ(loaded.aspect_count(), 2);
-  EXPECT_EQ(loaded.aspect(0).name, "x");
-  const ScoreGrid after = loaded.Score(builder, 5, 20, 30);
-  for (int a = 0; a < 2; ++a) {
-    for (int u = 0; u < 5; ++u) {
-      for (int d = 20; d < 30; ++d) {
-        EXPECT_FLOAT_EQ(before.At(a, u, d), after.At(a, u, d));
-      }
-    }
-  }
-}
-
-TEST(EnsembleIoTest, UntrainedSaveThrows) {
-  FeatureCatalog catalog({{"f0", "x", 1.0}});
-  AspectEnsemble ensemble(catalog.aspects(), EnsembleConfig{});
-  std::stringstream ss;
-  EXPECT_THROW(SaveEnsemble(ensemble, ss), std::logic_error);
-}
-
-TEST(EnsembleIoTest, BadStreamThrows) {
-  std::stringstream ss("definitely not an ensemble");
-  EXPECT_THROW(LoadEnsemble(ss), std::runtime_error);
-}
 
 // --- Waveform critic --------------------------------------------------------
 

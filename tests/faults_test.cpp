@@ -24,7 +24,6 @@
 #include "common/faults.h"
 #include "common/rng.h"
 #include "core/ensemble.h"
-#include "core/ensemble_io.h"
 #include "logs/log_io.h"
 #include "simdata/fault_injector.h"
 
@@ -629,12 +628,15 @@ class CheckpointResumeTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  ScoreGrid TrainAndScore(const EnsembleConfig& cfg) {
+  ScoreGrid TrainAndScore(
+      const EnsembleConfig& cfg,
+      std::vector<AspectTrainSummary>* summaries = nullptr) {
     const MeasurementCube cube = ToyCube(5, 30);
     const NormalizedDayBuilder builder(&cube, 0, 20);
     const FeatureCatalog catalog({{"f0", "x", 1.0}, {"f1", "y", 1.0}});
     AspectEnsemble ensemble(catalog.aspects(), cfg);
     ensemble.Train(builder, 5, 0, 20);
+    if (summaries) *summaries = ensemble.train_summaries();
     return ensemble.Score(builder, 5, 20, 30);
   }
 
@@ -648,8 +650,16 @@ TEST_F(CheckpointResumeTest, ResumeReproducesUninterruptedRunBitExactly) {
   ASSERT_TRUE(std::filesystem::exists(dir_ / "aspect_x.ae"));
   ASSERT_TRUE(std::filesystem::exists(dir_ / "aspect_y.ae"));
 
+  // The checkpoint directory is the model file: a resumed Train loads
+  // every aspect instead of retraining any.
   cfg.resume = true;
-  const ScoreGrid resumed = TrainAndScore(cfg);
+  std::vector<AspectTrainSummary> summaries;
+  const ScoreGrid resumed = TrainAndScore(cfg, &summaries);
+  ASSERT_EQ(summaries.size(), 2u);
+  for (const AspectTrainSummary& summary : summaries) {
+    EXPECT_TRUE(summary.resumed) << summary.name;
+    EXPECT_EQ(summary.attempts, 0) << summary.name;
+  }
   ExpectGridsBitIdentical(first, resumed);
 }
 
@@ -740,7 +750,11 @@ TEST(DegradationTest, PoisonedAspectIsDroppedAndRestStillScore) {
   const PoisonFeatureBuilder builder(&inner, /*poisoned_feature=*/1);
   const FeatureCatalog catalog({{"f0", "x", 1.0}, {"f1", "y", 1.0}});
 
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "acobe_ckpt_degraded";
+  std::filesystem::remove_all(dir);
   EnsembleConfig cfg = SmallConfig();
+  cfg.checkpoint_dir = dir.string();
   AspectEnsemble ensemble(catalog.aspects(), cfg);
   ensemble.Train(builder, 5, 0, 20);
 
@@ -760,9 +774,11 @@ TEST(DegradationTest, PoisonedAspectIsDroppedAndRestStillScore) {
     }
   }
 
-  // A partial model must not be persisted as if it were whole.
-  std::stringstream ss;
-  EXPECT_THROW(SaveEnsemble(ensemble, ss), std::logic_error);
+  // A diverged aspect leaves no checkpoint, so a resumed run retrains
+  // it instead of loading a partial model as if it were whole.
+  EXPECT_TRUE(std::filesystem::exists(dir / "aspect_x.ae"));
+  EXPECT_FALSE(std::filesystem::exists(dir / "aspect_y.ae"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DegradationTest, StrictModeRethrowsDivergence) {

@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
+#include <string>
 
+#include "common/faults.h"
 #include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/batchnorm.h"
@@ -689,6 +692,16 @@ TEST(SerializeTest, RoundTripReproducesInference) {
   }
 }
 
+void ExpectLoadFails(std::istream& in, const std::string& message) {
+  AutoencoderSpec out;
+  try {
+    LoadAutoencoder(in, out);
+    ADD_FAILURE() << "loaded; expected: " << message;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
 TEST(SerializeTest, BadMagicThrows) {
   std::stringstream ss("garbage that is not a model");
   AutoencoderSpec spec;
@@ -710,7 +723,7 @@ TEST(SerializeTest, TruncatedStreamThrows) {
   EXPECT_THROW(LoadAutoencoder(cut, out), std::runtime_error);
 }
 
-TEST(SerializeTest, ChecksumDetectsEveryByteFlip) {
+TEST(SerializeTest, EveryTruncationAndByteFlipIsRejected) {
   Rng rng(25);
   AutoencoderSpec spec;
   spec.input_dim = 3;
@@ -721,12 +734,18 @@ TEST(SerializeTest, ChecksumDetectsEveryByteFlip) {
   std::stringstream ss;
   SaveAutoencoder(spec, net, ss);
   const std::string clean = ss.str();
-  // Flip one bit at a spread of positions across the file; every one
-  // must be caught (bad magic, bad size, or checksum mismatch) — never
-  // silently loaded.
-  for (std::size_t pos = 0; pos < clean.size(); pos += 7) {
+  // Every proper prefix and every single-byte flip must be caught (bad
+  // magic, bad size, truncation or checksum mismatch), never silently
+  // loaded.
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    std::stringstream in(clean.substr(0, len));
+    AutoencoderSpec out;
+    EXPECT_THROW(LoadAutoencoder(in, out), std::runtime_error)
+        << "prefix " << len;
+  }
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
     std::string corrupt = clean;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0xFF);
     std::stringstream in(corrupt);
     AutoencoderSpec out;
     EXPECT_THROW(LoadAutoencoder(in, out), std::runtime_error)
@@ -734,9 +753,49 @@ TEST(SerializeTest, ChecksumDetectsEveryByteFlip) {
   }
 }
 
-TEST(SerializeTest, LegacyV1PayloadStillLoads) {
-  // A v1 file is the v1 magic followed by the raw payload; synthesize
-  // one from a v2 save (v2 = magic + size + crc + same payload).
+/// Weights 0, 0.125, 0.25, ... in layer order, and fixed batch-norm
+/// running statistics: a model whose checkpoint bytes do not depend on
+/// any random stream.
+Sequential FixedModel(const AutoencoderSpec& spec) {
+  Sequential net = BuildAutoencoder(spec);
+  float v = 0.0f;
+  auto fill = [&v](Tensor& t) {
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      t.data()[k] = v;
+      v += 0.125f;
+    }
+  };
+  for (std::size_t i = 0; i < net.LayerCount(); ++i) {
+    Layer& layer = net.layer(i);
+    for (Param* p : layer.Params()) fill(p->value);
+    if (auto* bn = dynamic_cast<BatchNorm*>(&layer)) {
+      fill(bn->running_mean());
+      fill(bn->running_var());
+    }
+  }
+  return net;
+}
+
+// A round trip cannot catch a writer and a reader that change together;
+// these pinned bytes can.
+TEST(SerializeTest, GoldenBytesOfAFixedModel) {
+  AutoencoderSpec spec;
+  spec.input_dim = 3;
+  spec.encoder_dims = {4, 2};
+  Sequential net = FixedModel(spec);
+  std::stringstream ss;
+  SaveAutoencoder(spec, net, ss);
+  const std::string bytes = ss.str();
+  EXPECT_EQ(bytes.size(), 568u);
+  EXPECT_EQ(Crc32(bytes), 3190739016u);
+  AutoencoderSpec out;
+  LoadAutoencoder(ss, out);
+  EXPECT_EQ(out.encoder_dims, spec.encoder_dims);
+}
+
+TEST(SerializeTest, LegacyV1PayloadIsRejected) {
+  // v1 (magic + raw payload, no size or CRC) is no longer a loadable
+  // format: its magic is as foreign as any other.
   Rng rng(26);
   AutoencoderSpec spec;
   spec.input_dim = 5;
@@ -750,23 +809,44 @@ TEST(SerializeTest, LegacyV1PayloadStillLoads) {
   std::string v1(reinterpret_cast<const char*>(&v1_magic), 4);
   v1 += v2.substr(12);  // skip v2 magic + size + crc
   std::stringstream in(v1);
-  AutoencoderSpec out;
-  Sequential loaded = LoadAutoencoder(in, out);
-  EXPECT_EQ(out.input_dim, spec.input_dim);
-  EXPECT_EQ(out.encoder_dims, spec.encoder_dims);
+  ExpectLoadFails(in, "LoadAutoencoder: bad magic");
+}
+
+/// A v2 frame (magic, size, CRC) around `payload`: it passes the
+/// checksum, so the loader's header-field caps are what must stop it.
+std::string CrcValidFrame(const std::string& payload) {
+  const std::uint32_t header[3] = {0xAC0BE101,
+                                   static_cast<std::uint32_t>(payload.size()),
+                                   Crc32(payload)};
+  return std::string(reinterpret_cast<const char*>(header), sizeof(header)) +
+         payload;
+}
+
+std::string U32Bytes(std::initializer_list<std::uint32_t> values) {
+  std::string bytes;
+  for (std::uint32_t v : values) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  return bytes;
 }
 
 TEST(SerializeTest, HostileHeaderRejectedBeforeAllocation) {
-  // input_dim = 0xFFFFFFFF must throw "implausible", not attempt a
+  // Dims of 0xFFFFFFFF must throw "implausible", not attempt a
   // multi-gigabyte BuildAutoencoder.
-  const std::uint32_t v1_magic = 0xAC0BE001;
   const std::uint32_t huge = 0xFFFFFFFFu;
-  std::string bytes(reinterpret_cast<const char*>(&v1_magic), 4);
-  bytes.append(reinterpret_cast<const char*>(&huge), 4);
-  bytes.append(64, '\0');
-  std::stringstream in(bytes);
-  AutoencoderSpec out;
-  EXPECT_THROW(LoadAutoencoder(in, out), std::runtime_error);
+  std::stringstream input_dim(
+      CrcValidFrame(U32Bytes({huge}) + std::string(64, '\0')));
+  ExpectLoadFails(input_dim, "LoadAutoencoder: implausible input dim");
+  std::stringstream depth(
+      CrcValidFrame(U32Bytes({3, huge}) + std::string(64, '\0')));
+  ExpectLoadFails(depth, "LoadAutoencoder: implausible encoder depth");
+  std::stringstream layer_dim(
+      CrcValidFrame(U32Bytes({3, 2, 4, huge}) + std::string(64, '\0')));
+  ExpectLoadFails(layer_dim, "LoadAutoencoder: implausible layer dim");
+  // A CRC-valid payload that ends early overruns the payload, not the
+  // stream behind it.
+  std::stringstream short_payload(CrcValidFrame(U32Bytes({3, 2, 4, 2})));
+  ExpectLoadFails(short_payload, "LoadAutoencoder: truncated stream");
 }
 
 TEST(TrainerTest, NonFiniteLossThrowsTrainingDiverged) {

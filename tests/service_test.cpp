@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/date.h"
+#include "common/faults.h"
 #include "common/telemetry.h"
 #include "core/critic.h"
 #include "core/monitor.h"
@@ -60,6 +61,18 @@ class TempDir {
   static int counter_;
 };
 int TempDir::counter_ = 0;
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void Spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 PackedEvent Ev(std::int64_t ts, std::uint32_t user) {
   PackedEvent p;
@@ -297,33 +310,38 @@ TEST(JournalTest, MissingFileIsAFreshStart) {
   EXPECT_FALSE(LoadJournal(dir.file("nope.journal")).has_value());
 }
 
+TEST(JournalTest, GoldenBytesOfAFixedState) {
+  // A round trip cannot catch a writer and a reader that change
+  // together; these pinned bytes can.
+  TempDir dir;
+  const std::string path = dir.file("service.journal");
+  SaveJournal(path, SampleState());
+  const std::string bytes = Slurp(path);
+  EXPECT_EQ(bytes.size(), 235u);
+  EXPECT_EQ(Crc32(bytes), 3584989819u);
+}
+
 TEST(JournalTest, CorruptionIsDetectedNotTrusted) {
   TempDir dir;
   const std::string path = dir.file("service.journal");
   SaveJournal(path, SampleState());
+  const std::string clean = Slurp(path);
 
-  // Flip one payload byte: CRC mismatch.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(20);
-    char c;
-    f.seekg(20);
-    f.get(c);
-    f.seekp(20);
-    f.put(static_cast<char>(c ^ 0x40));
+  // Every proper prefix (truncation) and every single-byte flip (bad
+  // magic, version, size, payload or CRC) is a JournalError.
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    Spit(path, clean.substr(0, len));
+    EXPECT_THROW(LoadJournal(path), JournalError) << "prefix " << len;
   }
-  EXPECT_THROW(LoadJournal(path), JournalError);
-
-  // Truncation.
-  SaveJournal(path, SampleState());
-  fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_THROW(LoadJournal(path), JournalError);
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    std::string corrupt = clean;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0xFF);
+    Spit(path, corrupt);
+    EXPECT_THROW(LoadJournal(path), JournalError) << "byte " << pos;
+  }
 
   // Bad magic.
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << "not a journal at all";
-  }
+  Spit(path, "not a journal at all");
   EXPECT_THROW(LoadJournal(path), JournalError);
 }
 
@@ -371,8 +389,8 @@ TEST(AppendLogTest, FileShorterThanCommittedIsCorruption) {
 // --- MonitorState driven incrementally vs the batch scan -------------------
 
 // A small grid with distinct scores everywhere (no rank or peak ties),
-// so the incremental peak tracking must agree with the batch
-// aspect-major scan exactly.
+// so the incremental peak tracking must agree with the batch scan
+// exactly.
 ScoreGrid DistinctGrid(int users, int days) {
   ScoreGrid grid({"logon", "device"}, users, 0, days);
   float v = 0.0f;
@@ -418,37 +436,69 @@ std::vector<DayPeak> PeaksOnDay(const ScoreGrid& grid, int day) {
   return peaks;
 }
 
+// User 0 tops both aspects on days 0..2 with exact score ties across
+// (aspect, day) cells: 9.0 at (device, day 0) and at (logon, day 1).
+// Both paths must resolve the peak to the earliest day, then the
+// lowest aspect: (day 0, device).
+ScoreGrid TiedGrid(int users, int days) {
+  ScoreGrid grid({"logon", "device"}, users, 0, days);
+  float v = 0.0f;
+  for (int a = 0; a < 2; ++a) {
+    for (int u = 0; u < users; ++u) {
+      for (int d = 0; d < days; ++d) {
+        grid.At(a, u, d) = v;
+        v += 0.0017f;
+      }
+    }
+  }
+  const float hot[2][3] = {{8.0f, 9.0f, 6.0f}, {9.0f, 7.0f, 6.0f}};
+  for (int a = 0; a < 2; ++a) {
+    for (int d = 0; d < 3; ++d) grid.At(a, 0, d) = hot[a][d];
+  }
+  return grid;
+}
+
 TEST(MonitorStateTest, IncrementalDriveMatchesBatchScan) {
-  const ScoreGrid grid = DistinctGrid(5, 16);
   MonitorConfig cfg;
   cfg.top_positions = 1;
   cfg.persistence_days = 2;
   cfg.cooloff_days = 2;
-  const std::vector<Alert> batch = FindPersistentAlerts(grid, cfg);
-  ASSERT_FALSE(batch.empty());
+  for (const ScoreGrid& grid : {DistinctGrid(5, 16), TiedGrid(4, 8)}) {
+    SCOPED_TRACE(grid.day_count());
+    const std::vector<Alert> batch = FindPersistentAlerts(grid, cfg);
+    ASSERT_FALSE(batch.empty());
 
-  MonitorState state(cfg);
-  std::vector<Alert> mine;
-  for (int d = 0; d < 16; ++d) {
-    const auto peaks = PeaksOnDay(grid, d);
-    state.AdvanceDay(d, FiredOnDay(grid, cfg, d), &peaks, &mine);
-  }
-  for (const Alert& a : state.OpenAlerts()) mine.push_back(a);
-  std::sort(mine.begin(), mine.end(),
-            [](const Alert& a, const Alert& b) {
-              return a.first_day < b.first_day;
-            });
+    MonitorState state(cfg);
+    std::vector<Alert> mine;
+    for (int d = grid.day_begin(); d < grid.day_end(); ++d) {
+      const auto peaks = PeaksOnDay(grid, d);
+      state.AdvanceDay(d, FiredOnDay(grid, cfg, d), &peaks, &mine);
+    }
+    for (const Alert& a : state.OpenAlerts()) mine.push_back(a);
+    std::sort(mine.begin(), mine.end(),
+              [](const Alert& a, const Alert& b) {
+                return a.first_day < b.first_day;
+              });
 
-  ASSERT_EQ(mine.size(), batch.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    EXPECT_EQ(mine[i].user_idx, batch[i].user_idx);
-    EXPECT_EQ(mine[i].first_day, batch[i].first_day);
-    EXPECT_EQ(mine[i].last_day, batch[i].last_day);
-    EXPECT_EQ(mine[i].firing_days, batch[i].firing_days);
-    EXPECT_EQ(mine[i].peak_day, batch[i].peak_day);
-    EXPECT_EQ(mine[i].peak_aspect_name, batch[i].peak_aspect_name);
-    EXPECT_FLOAT_EQ(mine[i].peak_score, batch[i].peak_score);
+    ASSERT_EQ(mine.size(), batch.size());
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i].user_idx, batch[i].user_idx);
+      EXPECT_EQ(mine[i].first_day, batch[i].first_day);
+      EXPECT_EQ(mine[i].last_day, batch[i].last_day);
+      EXPECT_EQ(mine[i].firing_days, batch[i].firing_days);
+      EXPECT_EQ(mine[i].peak_day, batch[i].peak_day);
+      EXPECT_EQ(mine[i].peak_aspect_name, batch[i].peak_aspect_name);
+      EXPECT_FLOAT_EQ(mine[i].peak_score, batch[i].peak_score);
+    }
   }
+  // The tie itself: earliest day first, then the lowest aspect.
+  const std::vector<Alert> tied = FindPersistentAlerts(TiedGrid(4, 8), cfg);
+  ASSERT_FALSE(tied.empty());
+  EXPECT_EQ(tied[0].user_idx, 0);
+  EXPECT_EQ(tied[0].first_day, 0);
+  EXPECT_EQ(tied[0].peak_day, 0);
+  EXPECT_EQ(tied[0].peak_aspect, 1);
+  EXPECT_EQ(tied[0].peak_aspect_name, "device");
 }
 
 TEST(MonitorStateTest, ChunkedFeedWithSaveLoadMatchesOneShot) {
@@ -619,18 +669,49 @@ TEST(CycleStatsTest, ConcurrentRecordAndSnapshotStayConsistent) {
   EXPECT_EQ(ring.size(), 64u);
 }
 
-TEST(MonitorStateTest, CorruptSnapshotThrows) {
-  MonitorState st;
+/// A tracker with an open alert, a cooling-off user and a live streak,
+/// so every field of the snapshot carries a distinct value.
+MonitorState FixedMonitor() {
+  MonitorConfig cfg;
+  cfg.top_positions = 2;
+  cfg.persistence_days = 2;
+  cfg.cooloff_days = 3;
+  MonitorState st(cfg);
   std::vector<Alert> closed;
-  st.AdvanceDay(3, {true, false}, nullptr, &closed);
+  const std::vector<DayPeak> day10 = {{0.5f, "logon"}, {0.25f, "device"}};
+  const std::vector<DayPeak> day11 = {{0.75f, "http"}, {0.125f, "file"}};
+  const std::vector<DayPeak> day13 = {{0.375f, "email"}, {}, {2.0f, "logon"}};
+  st.AdvanceDay(10, {true, true}, &day10, &closed);
+  st.AdvanceDay(11, {true, false}, &day11, &closed);
+  st.AdvanceDay(13, {false, false, true}, &day13, &closed);
+  return st;
+}
+
+TEST(MonitorStateTest, GoldenBytesOfAFixedTracker) {
   std::stringstream s;
-  st.Save(s);
-  std::string bytes = s.str();
-  bytes[bytes.size() / 2] ^= 0x10;
-  std::istringstream in(bytes);
-  EXPECT_THROW(MonitorState::Load(in), std::runtime_error);
-  std::istringstream empty("");
-  EXPECT_THROW(MonitorState::Load(empty), std::runtime_error);
+  FixedMonitor().Save(s);
+  const std::string bytes = s.str();
+  EXPECT_EQ(bytes.size(), 262u);
+  EXPECT_EQ(Crc32(bytes), 1307226849u);
+}
+
+TEST(MonitorStateTest, CorruptSnapshotThrows) {
+  std::stringstream s;
+  FixedMonitor().Save(s);
+  const std::string clean = s.str();
+  // Every proper prefix and every single-byte flip throws; none loads.
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    std::istringstream in(clean.substr(0, len));
+    EXPECT_THROW(MonitorState::Load(in), std::runtime_error)
+        << "prefix " << len;
+  }
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    std::string corrupt = clean;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0xFF);
+    std::istringstream in(corrupt);
+    EXPECT_THROW(MonitorState::Load(in), std::runtime_error)
+        << "byte " << pos;
+  }
 }
 
 // --- The supervisor in process ---------------------------------------------
@@ -730,14 +811,8 @@ DrainOutput Drain(const TempDir& data, const std::vector<fs::path>& batches,
     supervisor.Finish("drained");
   }
   unsetenv("ACOBE_THREADS");
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  out.alerts = slurp(run.file("out/alerts.jsonl"));
-  out.ledger = slurp(run.file("out/ledger.jsonl"));
+  out.alerts = Slurp(run.file("out/alerts.jsonl"));
+  out.ledger = Slurp(run.file("out/ledger.jsonl"));
   return out;
 }
 
