@@ -70,6 +70,11 @@ struct IngestOptions {
   /// day-range (and with it the measurement-cube allocation).
   std::int64_t ts_min = std::numeric_limits<std::int64_t>::min();
   std::int64_t ts_max = std::numeric_limits<std::int64_t>::max();
+  /// Parse workers, resolved like every other `threads` setting
+  /// (common/parallel.h: 0 = ACOBE_THREADS, else hardware). Events,
+  /// entity ids, stats, quarantine bytes and errors are the same for
+  /// every count; 1 parses on the calling thread.
+  int threads = 0;
 };
 
 struct IngestStats {

@@ -9,9 +9,14 @@
 // copies every rejected raw row to a sink. Telemetry:
 // logs.rows_read / rows_rejected / rows_quarantined / rows_deduped.
 //
-// Records are one per physical line. The readers pull the stream in
-// blocks of kCsvReadBlockBytes into one buffer and split quote-free
-// lines in place; only lines containing '"' are decoded field by field.
+// Records are one per physical line. The calling thread pulls the
+// stream in blocks of kCsvReadBlockBytes and cuts it into line-aligned
+// ranges of kCsvRangeBlocks blocks. Ranges parse on the shared pool
+// (IngestOptions::threads) into their own event vectors and intern
+// tables; the caller merges them in input order, so ids, events, stats,
+// quarantine bytes and errors match a serial pass at any thread count.
+// Quote-free lines split in place; only lines containing '"' are
+// decoded field by field.
 
 #include <cstddef>
 #include <iosfwd>
@@ -27,6 +32,27 @@ namespace acobe {
 /// Bytes the CSV readers request from the stream per read. A row may
 /// straddle blocks; a row longer than a block grows the buffer.
 constexpr std::size_t kCsvReadBlockBytes = std::size_t{1} << 18;
+
+/// Read blocks per parse range. Range k holds the lines that start in
+/// stream bytes [k*R, (k+1)*R), R = kCsvRangeBlocks * kCsvReadBlockBytes.
+/// At most two ranges per worker are in flight and their buffers are
+/// reused, so ingest memory does not grow with the file; input shorter
+/// than one range per worker parses on the calling thread.
+constexpr std::size_t kCsvRangeBlocks = 4;
+
+/// Test seam: while alive, the readers cut ranges every `bytes` bytes
+/// instead, so a small input splits into many ranges. Not thread-safe
+/// against concurrent readers; nothing outside tests should use it.
+class ScopedCsvRangeBytes {
+ public:
+  explicit ScopedCsvRangeBytes(std::size_t bytes);
+  ~ScopedCsvRangeBytes();
+  ScopedCsvRangeBytes(const ScopedCsvRangeBytes&) = delete;
+  ScopedCsvRangeBytes& operator=(const ScopedCsvRangeBytes&) = delete;
+
+ private:
+  std::size_t saved_;
+};
 
 /// Writes one stream as CSV with a header row. Ids are resolved to names
 /// through the store's entity tables.
@@ -47,7 +73,9 @@ void WriteProxyCsv(const LogStore& store, std::ostream& out);
 /// in every policy. Throws IngestError (a std::invalid_argument) on a
 /// malformed row in strict mode, or in any mode once rejected rows
 /// exceed the error budget or the stream reports a read error (badbit:
-/// the input is incomplete, so it is never treated as end of file).
+/// the input is incomplete, so it is never treated as end of file; the
+/// lines of every earlier read are delivered first). A sink or catalog
+/// failure propagates as it is: it is not a malformed row.
 IngestStats ReadDeviceCsv(std::istream& in, LogStore& store,
                           const IngestOptions& options,
                           const std::string& source = "device.csv");

@@ -1,10 +1,16 @@
 #include "logs/spool.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <new>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -69,13 +75,76 @@ class RunCursor {
   std::size_t pos_ = 0;
 };
 
+/// Stable LSD radix sort of src[0, n) by day - base, one counting-sort
+/// pass per byte of `span` that varies in these keys, ping-ponging
+/// between `src` and `tmp` (n records each). Returns the buffer holding
+/// the result.
+PackedEvent* RadixByDay(PackedEvent* src, PackedEvent* tmp, std::size_t n,
+                        std::uint64_t base, std::uint64_t span) {
+  for (int shift = 0; shift < 64 && (span >> shift) != 0; shift += 8) {
+    auto digit = [&](const PackedEvent& e) {
+      return static_cast<std::size_t>(
+          ((static_cast<std::uint64_t>(DayNumberOf(e.ts)) - base) >> shift) &
+          0xff);
+    };
+    std::array<std::size_t, 256> offset{};
+    for (std::size_t i = 0; i < n; ++i) ++offset[digit(src[i])];
+    if (offset[digit(src[0])] == n) continue;  // the same in every key
+    std::size_t sum = 0;
+    for (std::size_t& o : offset) sum += std::exchange(o, sum);
+    for (std::size_t i = 0; i < n; ++i) tmp[offset[digit(src[i])]++] = src[i];
+    std::swap(src, tmp);
+  }
+  return src;
+}
+
 }  // namespace
 
 void SortByDay(std::vector<PackedEvent>& events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const PackedEvent& a, const PackedEvent& b) {
-                     return DayNumberOf(a.ts) < DayNumberOf(b.ts);
-                   });
+  const std::size_t n = events.size();
+  if (n < 2) return;
+  std::int64_t lo = DayNumberOf(events[0].ts);
+  std::int64_t hi = lo;
+  std::int64_t prev = lo;
+  bool sorted = true;
+  for (const PackedEvent& e : events) {
+    const std::int64_t day = DayNumberOf(e.ts);
+    lo = std::min(lo, day);
+    hi = std::max(hi, day);
+    sorted = sorted && day >= prev;
+    prev = day;
+  }
+  if (sorted) return;
+  // Each half is radix-sorted through one scratch buffer of half the
+  // records (what std::stable_sort's buffer held): the back half back
+  // into place, the front half into the scratch. A forward merge then
+  // writes over the front; it never overtakes the back half's unread
+  // records. Ties take the front record first, so the sort is stable.
+  const std::uint64_t base = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - base;
+  const std::size_t half = n / 2;
+  const std::size_t back_n = n - half;
+  // A PackedEvent is an aggregate, so raw storage can hold it.
+  std::unique_ptr<PackedEvent, decltype(&std::free)> storage(
+      static_cast<PackedEvent*>(std::malloc(back_n * sizeof(PackedEvent))),
+      &std::free);
+  if (!storage) throw std::bad_alloc();
+  PackedEvent* const e = events.data();
+  PackedEvent* const scratch = storage.get();
+  if (PackedEvent* back = RadixByDay(e + half, scratch, back_n, base, span);
+      back != e + half) {
+    std::memcpy(e + half, back, back_n * sizeof(PackedEvent));
+  }
+  if (PackedEvent* front = RadixByDay(e, scratch, half, base, span);
+      front != scratch) {
+    std::memcpy(scratch, front, half * sizeof(PackedEvent));
+  }
+  std::size_t i = 0, j = half, k = 0;
+  while (i < half && j < n) {
+    e[k++] = DayNumberOf(e[j].ts) < DayNumberOf(scratch[i].ts) ? e[j++]
+                                                               : scratch[i++];
+  }
+  while (i < half) e[k++] = scratch[i++];
 }
 
 ShardSpooler::ShardSpooler(std::string dir, int shards,

@@ -6,10 +6,12 @@
 // user (users map to departments, departments map to shards), so a
 // later pass can process one shard's departments at a time. Events are
 // packed into fixed 24-byte records. A shard whose buffer never fills
-// stays in RAM: Finish() stable-sorts its buffer by day and Replay()
-// delivers straight from it. Whenever a shard's buffer does fill, it is
-// stable-sorted by day and appended to the shard's spool file as one
-// run; Replay() k-way-merges such a shard's runs back into
+// stays in RAM: Finish() orders its buffer by day (SortByDay, a stable
+// O(n) radix sort; shards one at a time, so at most one scratch buffer
+// exists) and Replay() delivers straight from it. Whenever a shard's
+// buffer does fill, it is sorted by day the same way and appended to
+// the shard's spool file as one run; Replay() k-way-merges such a
+// shard's runs back into
 // nondecreasing day order. Day order is the only ordering the feature
 // extractors require (first-seen "new-op" semantics are defined per
 // day, and measurements are exact per-event float adds, so within-day
@@ -55,8 +57,10 @@ inline std::int64_t DayNumberOf(Timestamp ts) {
   return ts / kSecondsPerDay - (ts % kSecondsPerDay < 0 ? 1 : 0);
 }
 
-/// Stable-sorts `events` by DayNumberOf(ts): same-day events keep their
-/// arrival order.
+/// Sorts `events` by DayNumberOf(ts), stably: same-day events keep
+/// their arrival order. O(n) time (a radix sort on the day, one pass
+/// per byte of the day span that varies; already-ordered input returns
+/// after one scan) and n/2 records of extra memory, whatever the span.
 void SortByDay(std::vector<PackedEvent>& events);
 
 /// Packs one typed event into the spool wire format. The service
@@ -96,7 +100,8 @@ class ShardSpooler : public LogSink {
 
   /// Ends ingest: a shard that spilled writes its remaining buffer as a
   /// last run; one that never spilled sorts its buffer by day and keeps
-  /// it in RAM. Call once, before Replay.
+  /// it in RAM. Shards are sorted one after another. Call once, before
+  /// Replay.
   void Finish();
 
   /// Decodes one shard back into typed events, delivered to `sink` in

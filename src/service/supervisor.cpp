@@ -5,11 +5,13 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <istream>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <thread>
 
 #include "common/date.h"
@@ -46,6 +48,16 @@ std::string ReadWholeFile(const std::string& path) {
   buf << in.rdbuf();
   return std::move(buf).str();
 }
+
+/// Presents bytes already in memory as a read-only stream, so a batch
+/// parses straight from the buffer its CRC was taken over.
+class BytesBuf : public std::streambuf {
+ public:
+  explicit BytesBuf(const std::string& bytes) {
+    char* p = const_cast<char*>(bytes.data());  // never written through
+    setg(p, p, p + bytes.size());
+  }
+};
 
 std::string DayString(std::int64_t day) {
   return Date::FromDayNumber(day).ToString();
@@ -257,7 +269,8 @@ void ServiceSupervisor::LoadRoster() {
   const std::string bytes = ReadWholeFile(config_.roster_path);
   d->roster_crc = Crc32(bytes);
   {
-    std::istringstream in(bytes);
+    BytesBuf buf(bytes);
+    std::istream in(&buf);
     IngestOptions strict = config_.ingest;
     strict.policy = IngestPolicy::kStrict;  // a bad roster is fatal
     ReadLdapCsv(in, d->tables, strict, config_.roster_path);
@@ -526,7 +539,8 @@ BatchRecord ServiceSupervisor::ParseBatch(const std::string& batch_name,
     if (!fs::exists(p)) continue;
     const std::string bytes = ReadWholeFile(p.string());
     crc = Crc32(bytes.data(), bytes.size(), crc);
-    std::istringstream in(bytes);
+    BytesBuf buf(bytes);
+    std::istream in(&buf);
     const std::string source = batch_name + "/" + csv;
     if (csv == kBatchCsvs[0]) {
       ReadDeviceCsv(in, dir_->tables, router, config_.ingest, source);

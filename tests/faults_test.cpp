@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -406,29 +407,53 @@ std::vector<std::pair<const char*, IngestOptions>> DiffPolicies() {
 }
 
 /// Ingests `text` with the reader under test and with the reference
-/// under every policy and demands identical outcomes.
-void ExpectMatchesReference(const Stream& stream, const std::string& text,
-                            std::size_t n_fields) {
+/// under every policy and demands identical outcomes, with the reader
+/// cutting parse ranges every `range_bytes[i]` bytes and running on 1,
+/// 2 and 4 threads.
+void ExpectSplitsMatchReference(const Stream& stream, const std::string& text,
+                                std::size_t n_fields,
+                                const std::vector<std::size_t>& range_bytes) {
   for (const auto& [policy, opts] : DiffPolicies()) {
     SCOPED_TRACE(policy);
-    const IngestOutcome got =
-        RunIngest(stream, opts, [&](LogStore& s, const IngestOptions& o) {
-          std::istringstream in(text);
-          return stream.read(in, s, o);
-        });
     const IngestOutcome want =
         RunIngest(stream, opts, [&](LogStore& s, const IngestOptions& o) {
           return ReferenceIngest(stream, text, n_fields, s, o);
         });
-    EXPECT_EQ(got.error, want.error);
-    EXPECT_EQ(got.stats.rows_read, want.stats.rows_read);
-    EXPECT_EQ(got.stats.rows_rejected, want.stats.rows_rejected);
-    EXPECT_EQ(got.stats.rows_quarantined, want.stats.rows_quarantined);
-    EXPECT_EQ(got.stats.rows_deduped, want.stats.rows_deduped);
-    EXPECT_EQ(got.stats.first_error, want.stats.first_error);
-    EXPECT_EQ(got.accepted, want.accepted);
-    EXPECT_EQ(got.quarantine, want.quarantine);
+    for (const std::size_t bytes : range_bytes) {
+      const ScopedCsvRangeBytes split(bytes);
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("range_bytes=" + std::to_string(bytes) +
+                     " threads=" + std::to_string(threads));
+        IngestOptions parallel = opts;
+        parallel.threads = threads;
+        const IngestOutcome got = RunIngest(
+            stream, parallel, [&](LogStore& s, const IngestOptions& o) {
+              std::istringstream in(text);
+              return stream.read(in, s, o);
+            });
+        EXPECT_EQ(got.error, want.error);
+        EXPECT_EQ(got.stats.rows_read, want.stats.rows_read);
+        EXPECT_EQ(got.stats.rows_rejected, want.stats.rows_rejected);
+        EXPECT_EQ(got.stats.rows_quarantined, want.stats.rows_quarantined);
+        EXPECT_EQ(got.stats.rows_deduped, want.stats.rows_deduped);
+        EXPECT_EQ(got.stats.first_error, want.stats.first_error);
+        EXPECT_EQ(got.accepted, want.accepted);
+        EXPECT_EQ(got.quarantine, want.quarantine);
+      }
+    }
   }
+}
+
+/// The same, with `text` forced into exactly 1, 2, 3, 4 and 7 nominal
+/// ranges. A line that spans a whole range leaves that range empty.
+void ExpectMatchesReference(const Stream& stream, const std::string& text,
+                            std::size_t n_fields) {
+  std::vector<std::size_t> range_bytes;
+  for (const std::size_t ranges : {1, 2, 3, 4, 7}) {
+    range_bytes.push_back(
+        std::max<std::size_t>(1, (text.size() + ranges - 1) / ranges));
+  }
+  ExpectSplitsMatchReference(stream, text, n_fields, range_bytes);
 }
 
 std::size_t HeaderFields(const std::string& clean) {
@@ -551,6 +576,68 @@ TEST(BlockReaderDiffTest, EdgeInputsMatchLineModeReference) {
       ExpectMatchesReference(stream, text, HeaderFields(clean));
     }
   }
+}
+
+/// Range seams placed just before and just after each kind of line a
+/// range must hand to the merge intact: CRLF, blank, quoted, a dropped
+/// duplicate, a rejected row, an out-of-window timestamp (rejected under
+/// the quarantine policy's window only) and the row that trips the
+/// error budget.
+TEST(BlockReaderDiffTest, SeamsOnSpecialLinesMatchLineModeReference) {
+  const LogStore store = MakeRichStore();
+  const std::vector<Stream> streams = AllStreams();
+  const Stream& device = streams[0];
+  const std::string clean = Render(device, store);
+  std::vector<std::string> rows;
+  {
+    std::istringstream in(clean);
+    for (std::string l; std::getline(in, l);) rows.push_back(l);
+  }
+  // rows[0] is the header; the special lines follow a few good rows,
+  // then enough bad rows to trip the quarantine policy's budget.
+  std::vector<std::string> lines(rows.begin(), rows.begin() + 25);
+  std::vector<std::size_t> special;
+  auto add = [&](std::string line) {
+    special.push_back(lines.size());
+    lines.push_back(std::move(line));
+  };
+  add(rows[25] + '\r');           // CRLF
+  add("");                        // blank
+  add(QuoteAll(rows[26]));        // quoted
+  lines.push_back(rows[27]);
+  add(rows[27]);                  // duplicate of the accepted row above
+  add("100000,user0,PC-0");       // too few fields
+  add("999999,user1,PC-1,connect");  // past the quarantine window
+  for (std::size_t i = 28; i < rows.size(); ++i) {
+    lines.push_back(rows[i]);
+    if (i % 2) lines.push_back("bad!ts,user2,PC-2,connect");
+  }
+  std::string text;
+  std::vector<std::size_t> offset;  // byte offset of each line
+  for (const std::string& l : lines) {
+    offset.push_back(text.size());
+    text += l + '\n';
+  }
+  // The budget trips under the quarantine policy; find its row.
+  const IngestOptions quarantine = DiffPolicies()[2].second;
+  std::size_t trip = 0;
+  try {
+    LogStore scratch;
+    ReferenceIngest(device, text, 4, scratch, quarantine);
+  } catch (const IngestError& e) {
+    ASSERT_NE(std::string(e.what()).find("error budget exceeded"),
+              std::string::npos);
+    trip = e.line() - 1;  // 1-based line -> index
+  }
+  ASSERT_GT(trip, special.back());
+  special.push_back(trip);
+
+  std::vector<std::size_t> range_bytes;
+  for (const std::size_t line : special) {
+    range_bytes.push_back(offset[line]);      // seam just before the line
+    range_bytes.push_back(offset[line] + 1);  // seam just after it
+  }
+  ExpectSplitsMatchReference(device, text, 4, range_bytes);
 }
 
 // --- WriteFileAtomic durability -------------------------------------------

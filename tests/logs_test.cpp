@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <vector>
 
+#include "common/telemetry.h"
 #include "logs/entity_table.h"
 #include "logs/log_io.h"
 #include "logs/log_store.h"
@@ -376,32 +381,173 @@ TEST(IngestPolicyTest, ReadErrorIsNotEndOfFile) {
     ++lines;
   }
   served += "300,car";
-  for (const IngestPolicy policy :
-       {IngestPolicy::kStrict, IngestPolicy::kPermissive,
-        IngestPolicy::kQuarantine}) {
-    FailingBuf buf(served);
-    std::istream in(&buf);
-    std::ostringstream quarantine;
-    LogStore store;
-    IngestOptions opts;
-    opts.policy = policy;
-    opts.error_budget = 1.0;
-    opts.quarantine = &quarantine;
-    SCOPED_TRACE(ToString(policy));
-    try {
-      ReadDeviceCsv(in, store, opts, "device.csv");
-      FAIL() << "a failed read was taken for end of file";
-    } catch (const IngestError& e) {
-      EXPECT_EQ(e.file(), "device.csv");
-      EXPECT_NE(std::string(e.what()).find("read error"), std::string::npos)
-          << e.what();
-      // Every row before the named line parsed; the rest never did.
-      EXPECT_GT(store.devices().size(), 0u);
-      EXPECT_EQ(e.line(), store.devices().size() + 2);  // header is line 1
-      EXPECT_LE(e.line(), lines + 1);
+  // The first read (one block) succeeds and the second fails: exactly
+  // the lines completed within the first block are delivered, whatever
+  // the range size or thread count.
+  const std::size_t first_block_lines = static_cast<std::size_t>(
+      std::count(served.begin(), served.begin() + kCsvReadBlockBytes, '\n'));
+  for (const std::size_t range_bytes :
+       {kCsvRangeBlocks * kCsvReadBlockBytes, std::size_t{16} << 10}) {
+    const ScopedCsvRangeBytes split(range_bytes);
+    for (const int threads : {1, 4}) {
+      for (const IngestPolicy policy :
+           {IngestPolicy::kStrict, IngestPolicy::kPermissive,
+            IngestPolicy::kQuarantine}) {
+        FailingBuf buf(served);
+        std::istream in(&buf);
+        std::ostringstream quarantine;
+        LogStore store;
+        IngestOptions opts;
+        opts.policy = policy;
+        opts.error_budget = 1.0;
+        opts.quarantine = &quarantine;
+        opts.threads = threads;
+        SCOPED_TRACE(std::string(ToString(policy)) + " threads=" +
+                     std::to_string(threads) +
+                     " range_bytes=" + std::to_string(range_bytes));
+        try {
+          ReadDeviceCsv(in, store, opts, "device.csv");
+          FAIL() << "a failed read was taken for end of file";
+        } catch (const IngestError& e) {
+          EXPECT_EQ(e.file(), "device.csv");
+          EXPECT_NE(std::string(e.what()).find("read error"),
+                    std::string::npos)
+              << e.what();
+          // Every row before the named line parsed; the rest never did.
+          EXPECT_EQ(store.devices().size(), first_block_lines - 1);
+          EXPECT_EQ(e.line(), store.devices().size() + 2);  // header: line 1
+          EXPECT_LE(e.line(), lines + 1);
+        }
+        EXPECT_EQ(quarantine.str(), "");
+      }
     }
-    EXPECT_EQ(quarantine.str(), "");
   }
+}
+
+/// Everything one ingest leaves behind, for comparing thread counts:
+/// the stats or the error, the events and entity tables, and the
+/// logs.rows_* counters.
+struct IngestRun {
+  IngestStats stats;
+  std::string error;
+  std::string devices;
+  std::string tables;
+  std::vector<std::uint64_t> counters;
+};
+
+IngestRun RunDeviceIngest(const std::string& csv, IngestOptions opts) {
+  telemetry::ResetTelemetry();
+  IngestRun run;
+  LogStore store;
+  std::istringstream in(csv);
+  try {
+    run.stats = ReadDeviceCsv(in, store, opts, "device.csv");
+  } catch (const IngestError& e) {
+    run.error = e.what();
+  }
+  std::ostringstream out;
+  WriteDeviceCsv(store, out);
+  run.devices = out.str();
+  for (const EntityTable* t : {&store.users(), &store.pcs()}) {
+    for (std::uint32_t id = 0; id < t->size(); ++id) {
+      run.tables += t->NameOf(id) + '\n';
+    }
+    run.tables += "--\n";
+  }
+  for (const char* name :
+       {"logs.rows_read", "logs.rows_rejected", "logs.rows_quarantined",
+        "logs.rows_deduped", "logs.parse_errors"}) {
+    run.counters.push_back(telemetry::GetCounter(name).value());
+  }
+  return run;
+}
+
+TEST(IngestPolicyTest, StatsTablesAndCountersMatchAcrossThreadCounts) {
+  // ~40 ranges of 16 KiB: rejects, duplicates and new names throughout,
+  // so every range seam carries state the merge must continue.
+  std::string csv = "ts,user,pc,activity\n";
+  std::size_t bad_row_line = 0;  // a bad row in the last few ranges
+  for (int i = 0, line = 2; csv.size() < (std::size_t{640} << 10);
+       ++i, ++line) {
+    const std::string row = std::to_string(100 + i) + ",user" +
+                            std::to_string(i % 997) + ",pc" +
+                            std::to_string(i % 89) + ",connect\n";
+    csv += row;
+    if (i % 53 == 0) {  // a redelivery
+      csv += row;
+      ++line;
+    }
+    if (i % 71 == 0) {  // an unknown activity
+      csv += std::to_string(100 + i) + ",user" + std::to_string(i) +
+             ",pcX,teleport\n";
+      ++line;
+    }
+    if (bad_row_line == 0 && csv.size() > (std::size_t{600} << 10)) {
+      bad_row_line = static_cast<std::size_t>(line);
+    }
+  }
+  ASSERT_GT(bad_row_line, 0u);
+  const ScopedCsvRangeBytes split(std::size_t{16} << 10);
+  telemetry::EnableMetrics(true);
+
+  IngestOptions permissive;
+  permissive.policy = IngestPolicy::kPermissive;
+  permissive.error_budget = 1.0;
+  permissive.drop_consecutive_duplicates = true;
+  IngestOptions strict;
+  // Strict stops at the first unknown activity (line 3); make the only
+  // bad row a late one instead.
+  std::string late_bad;
+  std::size_t oops_line = 0;
+  {
+    std::istringstream in(csv);
+    std::string l;
+    for (std::size_t line = 1, out = 1; std::getline(in, l); ++line) {
+      if (l.find("teleport") != std::string::npos) continue;
+      if (line == bad_row_line) {
+        l = "oops";
+        oops_line = out;
+      }
+      late_bad += l + '\n';
+      ++out;
+    }
+  }
+  ASSERT_GT(late_bad.size() - late_bad.find("oops"), std::size_t{16} << 10)
+      << "the bad row must sit ranges before the end";
+  for (const auto& [name, text, base] :
+       {std::tuple{"permissive", csv, permissive},
+        std::tuple{"strict", late_bad, strict}}) {
+    SCOPED_TRACE(name);
+    IngestOptions one = base;
+    one.threads = 1;
+    IngestOptions four = base;
+    four.threads = 4;
+    const IngestRun serial = RunDeviceIngest(text, one);
+    const IngestRun parallel = RunDeviceIngest(text, four);
+    EXPECT_EQ(parallel.error, serial.error);
+    EXPECT_EQ(parallel.stats.rows_read, serial.stats.rows_read);
+    EXPECT_EQ(parallel.stats.rows_rejected, serial.stats.rows_rejected);
+    EXPECT_EQ(parallel.stats.rows_deduped, serial.stats.rows_deduped);
+    EXPECT_EQ(parallel.stats.first_error, serial.stats.first_error);
+    EXPECT_EQ(parallel.devices, serial.devices);
+    EXPECT_EQ(parallel.tables, serial.tables);
+    EXPECT_EQ(parallel.counters, serial.counters);
+    if (std::string(name) == "permissive") {
+      EXPECT_GT(serial.stats.rows_rejected, 10u);
+      EXPECT_GT(serial.stats.rows_deduped, 10u);
+      EXPECT_EQ(serial.counters[0], serial.stats.rows_read);
+    } else {
+      // Rows past the bad line were parsed by other ranges but never
+      // delivered or counted.
+      EXPECT_NE(serial.error.find("device.csv:" + std::to_string(oops_line) +
+                                  ":"),
+                std::string::npos)
+          << serial.error;
+      EXPECT_EQ(serial.counters[0], oops_line - 1);  // rows_read
+      EXPECT_EQ(serial.counters[1], 1u);                // rows_rejected
+    }
+  }
+  telemetry::EnableMetrics(false);
 }
 
 TEST(LogIoTest, EnterpriseAndProxyCsvRoundTrips) {

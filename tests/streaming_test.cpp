@@ -5,10 +5,14 @@
 // spill regime.
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -283,6 +287,85 @@ TEST(SpoolTest, DayNumberOfFloors) {
   EXPECT_EQ(DayNumberOf(-1), -1);
   EXPECT_EQ(DayNumberOf(-kDay), -1);
   EXPECT_EQ(DayNumberOf(-kDay - 1), -2);
+}
+
+/// SortByDay against std::stable_sort on the same day key: identical
+/// records in identical order (day ascending, arrival order within a
+/// day) on every input shape, including keys whose day span is most of
+/// the int64 range — extra memory must not grow with the span.
+TEST(SortByDayTest, MatchesStableSortOracle) {
+  std::uint64_t state = 99;
+  auto random = [&] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state;
+  };
+  auto build = [](std::size_t n, const std::function<Timestamp(std::size_t)>& ts) {
+    std::vector<PackedEvent> events(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      events[i].ts = ts(i);
+      events[i].user = static_cast<std::uint32_t>(i);  // arrival tag
+      events[i].e1 = static_cast<std::uint32_t>(i * 2654435761u);
+    }
+    return events;
+  };
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  const std::vector<std::pair<const char*, std::vector<PackedEvent>>> cases = {
+      {"empty", {}},
+      {"one", build(1, [](std::size_t) { return Timestamp{5}; })},
+      {"two_reversed",
+       build(2, [](std::size_t i) { return i ? Timestamp{0} : 3 * kDay; })},
+      {"random_73_days", build(5001, [&](std::size_t) {
+         return static_cast<Timestamp>(random() % (73 * kDay));
+       })},
+      {"random_400_days", build(4096, [&](std::size_t) {
+         return static_cast<Timestamp>(random() % (400 * kDay)) + 14000 * kDay;
+       })},
+      {"sorted", build(3000, [](std::size_t i) {
+         return static_cast<Timestamp>(i) * 997;
+       })},
+      {"reversed", build(3001, [](std::size_t i) {
+         return static_cast<Timestamp>(3001 - i) * 997;
+       })},
+      {"one_day", build(2000, [&](std::size_t) {
+         return 14600 * kDay + static_cast<Timestamp>(random() % kDay);
+       })},
+      {"pre_epoch", build(3000, [&](std::size_t) {
+         return static_cast<Timestamp>(random() % (5 * kDay)) - 3 * kDay;
+       })},
+      {"int64_extremes", build(999, [&](std::size_t i) {
+         switch (i % 5) {
+           case 0: return kMin;
+           case 1: return kMax;
+           case 2: return Timestamp{-1};
+           case 3: return Timestamp{0};
+           default: return static_cast<Timestamp>(random());
+         }
+       })},
+      {"full_span", build(2500, [&](std::size_t) {
+         return static_cast<Timestamp>(random());
+       })},
+      {"two_days_far_apart", build(1500, [&](std::size_t) {
+         // Days 0 and 2^40: only the key's sixth byte varies.
+         return (random() & 1) ? Timestamp{0} : (Timestamp{1} << 40) * kDay;
+       })},
+  };
+  for (const auto& [name, input] : cases) {
+    SCOPED_TRACE(name);
+    std::vector<PackedEvent> want = input;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const PackedEvent& a, const PackedEvent& b) {
+                       return DayNumberOf(a.ts) < DayNumberOf(b.ts);
+                     });
+    std::vector<PackedEvent> got = input;
+    SortByDay(got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].ts, want[i].ts) << "at " << i;
+      ASSERT_EQ(got[i].user, want[i].user) << "at " << i;
+      ASSERT_EQ(got[i].e1, want[i].e1) << "at " << i;
+    }
+  }
 }
 
 /// Simulates a small two-department org and returns the sorted store.

@@ -13,11 +13,12 @@
 //                [--health-out=FILE] [--health-interval-ms=N]
 //                [--prom-out=FILE] [--version]
 //
-// --threads: worker threads for training/scoring/deviation (0 = the
-// ACOBE_THREADS environment variable, else hardware concurrency). All
-// departments of a shard train at once: every (department, aspect)
-// model is one job over the shared pool. Results are identical for any
-// thread count, and identical with telemetry on or off.
+// --threads: worker threads for CSV parsing and training/scoring/
+// deviation (0 = the ACOBE_THREADS environment variable, else hardware
+// concurrency). All departments of a shard train at once: every
+// (department, aspect) model is one job over the shared pool. Results
+// are identical for any thread count, and identical with telemetry on
+// or off.
 //
 // One pipeline (logs/spool.h): pass A reads ldap.csv, then streams each
 // event CSV once into a spooler that packs events into per-shard
@@ -674,6 +675,7 @@ int main(int argc, char** argv) {
     }
   }
   if (spool_dir.empty()) spool_dir = in_dir + "/.acobe-spool";
+  ingest.threads = threads;  // CSV parsing shares the worker pool
   // Pin the GEMM thread budget before any math runs; the resolved count
   // lands in --version, the explain report, and the ledger manifest.
   if (nn_threads > 0) nn::SetNnThreads(nn_threads);
